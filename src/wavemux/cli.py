@@ -94,7 +94,10 @@ def _bits_to_bytes(bits: str) -> bytes:
 
 def _read_samples(path: Path, fmt: str) -> np.ndarray:
     if fmt == "raw":
-        return np.frombuffer(path.read_bytes(), dtype="<f8").astype(float)
+        data = path.read_bytes()
+        if len(data) % 8:
+            raise DataError(f"{path}: {len(data)} bytes is not a whole number of 8-byte samples")
+        return np.frombuffer(data, dtype="<f8").astype(float)
     values = [float(f) for f in path.read_text(encoding="utf-8").replace(",", "\n").split()]
     return np.array(values)
 

@@ -135,17 +135,17 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
     _check_resolution(resolution)
     v = np.asarray(values, dtype=float)
     scale = 1 << resolution
-    words = np.rint((v * scale - 1.0 + scale) / 2.0).astype(np.int64)
-    np.clip(words, 0, scale - 1, out=words)
-    levels = (2.0 * words + 1.0 - scale) / scale
+    nearest = np.clip(np.rint((v * scale - 1.0 + scale) / 2.0), 0, scale - 1)
+    levels = (2.0 * nearest + 1.0 - scale) / scale
     guard = 0.5 / scale  # 2^-(B+1)
-    bad = np.abs(v - levels) > guard
+    bad = ~(np.abs(v - levels) <= guard)  # NaN compares False, so it counts as off-grid
     if bad.any():
         k = int(np.argmax(bad))
         raise OffGrid(
             f"{int(bad.sum())} of {v.size} samples off-grid at B={resolution};"
             f" first at index {k}: value {v[k]:.6g}"
         )
+    words = nearest.astype(np.int64)
     return "".join(format(w, f"0{resolution}b") for w in words)
 
 

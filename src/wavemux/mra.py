@@ -14,7 +14,18 @@ filter copy back onto the circle,
 with the filter taken as zero outside 0..L-1 before the modular
 placement. For an orthonormal pair the two steps invert each other
 exactly, which is what makes circular convolution the right boundary
-rule for fixed-length frames. Both directions cost Theta(M * L).
+rule for fixed-length frames.
+
+Both steps share one index layout, the periodic extension
+xe[i] = x[i mod M] for i < M + L - 2, in which every tap reads or writes
+the plain strided slice xe[n : n + M : 2]. Analysis gathers: it builds
+xe and accumulates g[n] and h[n] times each slice. Synthesis
+scatter-adds g[n] * approx + h[n] * detail into the same slices of a
+zeroed buffer of that length, then folds the part past M back onto the
+head (several times over when the filter is longer than the signal).
+Each direction costs L * M/2 multiply-adds per filter per level; the
+level lengths halve, so a whole cascade costs under L * N per filter,
+linear in the frame length N.
 
 Level numbering is finest-first: level 1 holds the longest detail array
 (length N/2), level ``depth`` the shortest, and the approximation array
@@ -111,77 +122,24 @@ class CoefficientFrame:
         return float(sum(np.dot(d, d) for d in self.details) + np.dot(self.approx, self.approx))
 
 
-#: Output coefficients per tile of the blocked analysis kernel. Sized so a
-#: tile's inputs and outputs stay resident in a private per-core cache,
-#: which keeps the measured per-sample cost flat from small to very large
-#: frames.
-_TILE = 8192
-
-
-def _tap_slices(n: int, M: int) -> tuple[int, int]:
-    """Split the index set {(2k + n) mod M : k < M/2} into two plain slices.
-
-    Returns (offset, straight): the first ``straight`` values of k read the
-    strided slice x[offset::2]; the remaining M/2 - straight wrap around to
-    x[offset + 2*straight - M::2]. Avoiding a modular gather keeps the
-    per-level cost a smooth Theta(M * L).
-    """
-    offset = n % M  # M is even, so reducing the tap start keeps parity of 2k+n
-    return offset, min(M // 2, (M - offset + 1) // 2)
-
-
-def _analyze_level_slices(x: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tap-by-tap accumulation; handles every size, even filters longer
-    than the signal."""
-    M = x.size
-    half = M // 2
-    approx = np.zeros(half)
-    detail = np.zeros(half)
-    for n in range(g.size):
-        offset, straight = _tap_slices(n, M)
-        head = x[offset::2][:straight]  # head[k] = x[2k + offset]
-        approx[:straight] += g[n] * head
-        detail[:straight] += h[n] * head
-        if straight < half:
-            tail = x[offset + 2 * straight - M :: 2][: half - straight]
-            approx[straight:] += g[n] * tail
-            detail[straight:] += h[n] * tail
-    return approx, detail
-
-
 def analyze_level(x: np.ndarray, pair: FilterPair) -> LevelPair:
     """Split a signal of even length M into M/2 approximation and detail
     coefficients by periodic correlation with g and h."""
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     M = x.size
     if x.ndim != 1 or M < 2 or M % 2:
         raise OddLength(f"signal length must be even and >= 2, got {M}")
     g, h = pair.g, pair.h
-    L = g.size
-    half = M // 2
-    if L > M or half <= 2 * L:
-        approx, detail = _analyze_level_slices(x, g, h)
-        return LevelPair(approx, detail)
-
-    # Blocked kernel: rows k of the implicit (M/2, L) window matrix read
-    # x[2k : 2k+L], so everything except the last few wrapped rows is a
-    # pair of matrix-vector products over strided views of x.
-    approx = np.empty(half)
-    detail = np.empty(half)
-    stride = x.itemsize
-    no_wrap = (M - L) // 2 + 1
-    for k0 in range(0, no_wrap, _TILE):
-        k1 = min(k0 + _TILE, no_wrap)
-        win = np.lib.stride_tricks.as_strided(
-            x[2 * k0 :], shape=(k1 - k0, L), strides=(2 * stride, stride)
-        )
-        approx[k0:k1] = win @ g
-        detail[k0:k1] = win @ h
-    taps = np.arange(L)
-    for k in range(no_wrap, half):
-        row = x[(2 * k + taps) % M]
-        approx[k] = row @ g
-        detail[k] = row @ h
+    xe = np.empty(M + g.size - 2)
+    for start in range(0, xe.size, M):  # xe[i] = x[i mod M], x repeated when L > M
+        chunk = xe[start : start + M]
+        chunk[:] = x[: chunk.size]
+    approx = np.zeros(M // 2)
+    detail = np.zeros(M // 2)
+    for n in range(g.size):
+        window = xe[n : n + M : 2]  # window[k] = x[(2k + n) mod M]
+        approx += g[n] * window
+        detail += h[n] * window
     return LevelPair(approx, detail)
 
 
@@ -192,26 +150,15 @@ def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
     orthonormal pairs: coefficient k scatters tap n onto index
     (2k + n) mod M.
     """
-    half = lp.approx.size
-    M = 2 * half
-    y = np.zeros(M)
+    M = 2 * lp.approx.size
+    ye = np.zeros(M + pair.g.size - 2)
     for n in range(pair.g.size):
-        contrib = pair.g[n] * lp.approx + pair.h[n] * lp.detail
-        offset, straight = _tap_slices(n, M)
-        y[offset::2][:straight] += contrib[:straight]
-        if straight < half:
-            y[offset + 2 * straight - M :: 2][: half - straight] += contrib[straight:]
+        ye[n : n + M : 2] += pair.g[n] * lp.approx + pair.h[n] * lp.detail
+    y = ye[:M]
+    for start in range(M, ye.size, M):  # fold the tail back onto the circle
+        tail = ye[start : start + M]
+        y[: tail.size] += tail
     return y
-
-
-def _analyze_level_reference(x: np.ndarray, pair: FilterPair) -> LevelPair:
-    """Slice-path analysis regardless of size; kept for cross-checking the
-    blocked kernel."""
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.size < 2 or x.size % 2:
-        raise OddLength(f"signal length must be even and >= 2, got {x.size}")
-    approx, detail = _analyze_level_slices(x, pair.g, pair.h)
-    return LevelPair(approx, detail)
 
 
 def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:

@@ -403,18 +403,25 @@ def plan_to_dict(plan: RatePlan) -> dict:
     }
 
 
+def _whole(value, field: str) -> int:
+    """int(value), refusing a number that int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"malformed plan document: {field} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def plan_from_dict(data: dict) -> RatePlan:
     try:
         channels = tuple(
-            Channel(str(c["id"]), int(c["rate_bps"]),
+            Channel(str(c["id"]), _whole(c["rate_bps"], "rate_bps"),
                     float(c["f_m_hz"]) if "f_m_hz" in c else None)
             for c in data["channels"]
         )
         return RatePlan(
-            blocklength=int(data["N"]),
-            levels=int(data["J"]),
-            basic_rate=int(data["R_bps"]),
-            resolution=int(data["B"]),
+            blocklength=_whole(data["N"], "N"),
+            levels=_whole(data["J"], "J"),
+            basic_rate=_whole(data["R_bps"], "R_bps"),
+            resolution=_whole(data["B"], "B"),
             channels=channels,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -423,7 +430,11 @@ def plan_from_dict(data: dict) -> RatePlan:
 
 def load_plan(path) -> RatePlan:
     with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
+            raise ConfigError(f"plan file {path} is not valid JSON: {exc}") from exc
+    return plan_from_dict(data)
 
 
 def plan_digest(plan: RatePlan) -> str:

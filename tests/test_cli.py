@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from wavemux import ConfigError, load_plan
 from wavemux.cli import main
 
 J3_PLAN = {
@@ -87,6 +88,30 @@ class TestPlanCommand:
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["plan", "--plan", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(dict(J3_PLAN, N=64.5)),
+            json.dumps(dict(J3_PLAN, J=3.5)),
+            json.dumps(dict(J3_PLAN, R_bps=64000.5)),
+            json.dumps(dict(J3_PLAN, B=8.5)),
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], rate_bps=256000.9)]
+                            + J3_PLAN["channels"][1:])),
+            '{"N": 64, "J": 3,',
+            b"\xff\xfe{}",
+        ],
+        ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8"],
+    )
+    def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
+        path = tmp_path / "plan.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ConfigError):
+            load_plan(path)
+        assert main(["plan", "--plan", str(path)]) == 2
 
 
 class TestCompositionsCommand:
@@ -183,6 +208,32 @@ class TestMuxDemuxCommands:
                      "--out", sig]) == 0
         assert main(["demux", sig, "--plan", plan_file, "--wavelet", "haar",
                      "--out", str(tmp_path / "rx")]) == 4
+
+    def test_nan_sample_exits_4(self, tmp_path, plan_file):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, seed=13)
+        sig = tmp_path / "sig.f64"
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(sig)]) == 0
+        samples = np.frombuffer(sig.read_bytes(), dtype="<f8").copy()
+        samples[7] = np.nan
+        sig.write_bytes(samples.tobytes())
+        assert main(["demux", str(sig), "--plan", plan_file,
+                     "--out", str(tmp_path / "rx")]) == 4
+
+    def test_ragged_raw_signal_exits_3(self, tmp_path, plan_file):
+        sig = tmp_path / "sig.f64"
+        sig.write_bytes(bytes(13))
+        assert main(["demux", str(sig), "--plan", plan_file,
+                     "--out", str(tmp_path / "rx")]) == 3
+
+    def test_ragged_raw_samples_payload_exits_3(self, tmp_path, plan_file):
+        directory = tmp_path / "payloads"
+        directory.mkdir()
+        for cid, cnt in {"alpha": 32, "bravo": 16, "charlie": 16}.items():
+            (directory / f"{cid}.samples").write_bytes(np.zeros(cnt, dtype="<f8").tobytes())
+        with open(directory / "bravo.samples", "ab") as fh:
+            fh.write(bytes(5))
+        assert main(["mux", str(directory), "--plan", plan_file,
+                     "--out", str(tmp_path / "sig.f64")]) == 3
 
     def test_wrong_signal_length_exits_3(self, tmp_path, plan_file):
         sig = tmp_path / "sig.f64"

@@ -317,6 +317,19 @@ class TestDemux:
         with pytest.raises(OffGrid, match="channel"):
             demux(plan, haar, MuxedSignal(signal.samples))  # digest stripped
 
+    def test_nan_sample_flags_off_grid(self, db4):
+        plan = make_plan(64, 3, [64000] * 8)
+        rng = np.random.default_rng(56)
+        payloads = [
+            TributaryPayload.from_bits(ch.id, "".join(map(str, rng.integers(0, 2, 64))))
+            for ch in plan.channels
+        ]
+        line = mux(plan, db4, payloads)
+        samples = line.samples.copy()
+        samples[5] = np.nan
+        with pytest.raises(OffGrid):
+            demux(plan, db4, MuxedSignal(samples, line.plan_digest))
+
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_digital_round_trip_every_composition(self, wavelet, j):

@@ -63,17 +63,31 @@ class TestAnalyzeLevel:
             np.testing.assert_allclose(lp.approx, a, atol=1e-13)
             np.testing.assert_allclose(lp.detail, d, atol=1e-13)
 
-    def test_blocked_kernel_matches_slice_path(self, db4):
-        # sizes straddle the fallback threshold and the tile boundary
-        from wavemux.mra import _TILE, _analyze_level_reference
 
-        rng = np.random.default_rng(18)
-        for m in (8, 16, 18, 64, 2 * _TILE, 4 * _TILE + 6):
-            x = rng.standard_normal(m if m % 2 == 0 else m + 1)
-            fast = analyze_level(x, db4)
-            ref = _analyze_level_reference(x, db4)
-            np.testing.assert_allclose(fast.approx, ref.approx, atol=1e-12)
-            np.testing.assert_allclose(fast.detail, ref.detail, atol=1e-12)
+class TestKernelMatchesOracle:
+    """The periodic-extension pair against the direct loops in oracles.py."""
+
+    @staticmethod
+    def _check(pair, m, rng):
+        x = rng.standard_normal(m)
+        lp = analyze_level(x, pair)
+        a, d = naive_analyze_level(x, pair.g, pair.h)
+        np.testing.assert_allclose(lp.approx, a, atol=1e-12)
+        np.testing.assert_allclose(lp.detail, d, atol=1e-12)
+        a, d = rng.standard_normal((2, m // 2))
+        got = synthesize_level(LevelPair(a, d), pair)
+        np.testing.assert_allclose(got, naive_synthesize_level(a, d, pair.g, pair.h), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [8, 16, 18, 64, 16384, 32774])
+    def test_db4(self, db4, m):
+        self._check(db4, m, np.random.default_rng(18))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_lattice_filter_longer_than_signal(self, m):
+        rng = np.random.default_rng(60 + m)
+        pair = make_wavelet_system(random_scaling_filter(rng, 5))
+        assert pair.g.size == 10
+        self._check(pair, m, rng)
 
 
 class TestSynthesizeLevel:
