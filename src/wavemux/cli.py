@@ -13,7 +13,9 @@ Payload files are named ``<channel-id>.bits`` (packed bytes, bits consumed
 MSB-first) or ``<channel-id>.samples``. Sample and signal files are raw
 little-endian float64 or decimal CSV, selected by ``--format``. Inputs
 longer than one frame are processed frame by frame under the same plan;
-partial trailing frames are an error.
+partial trailing frames are an error. Digital files are quantized, and
+recovered bits decoded, once per channel over the whole stream, so the
+frames themselves carry samples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, OffGrid
-from .framing import TributaryPayload, demux, mux
+from .framing import TributaryPayload, _dequantize_bits, _quantize_bits, demux, mux
 from .rateplan import (
     RatePlan,
     aggregate_rate,
@@ -82,23 +84,16 @@ def _format_seconds(t: Fraction) -> str:
     return f"{float(t):.6g} s"
 
 
-def _bytes_to_bits(data: bytes) -> str:
-    return "".join(format(b, "08b") for b in data)
-
-
-def _bits_to_bytes(bits: str) -> bytes:
-    pad = (-len(bits)) % 8
-    bits = bits + "0" * pad
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
 def _read_samples(path: Path, fmt: str) -> np.ndarray:
     if fmt == "raw":
         data = path.read_bytes()
         if len(data) % 8:
             raise DataError(f"{path}: {len(data)} bytes is not a whole number of 8-byte samples")
         return np.frombuffer(data, dtype="<f8").astype(float)
-    values = [float(f) for f in path.read_text(encoding="utf-8").replace(",", "\n").split()]
+    try:
+        values = [float(f) for f in path.read_text(encoding="utf-8").replace(",", "\n").split()]
+    except ValueError as exc:  # a non-numeric token, or bytes that are not UTF-8
+        raise DataError(f"{path}: {exc}") from exc
     return np.array(values)
 
 
@@ -166,19 +161,20 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 
 def _mux_stream(plan: RatePlan, system: FilterPair, args: argparse.Namespace) -> np.ndarray:
     directory = Path(args.payload_dir)
-    streams: dict[str, str | np.ndarray] = {}
+    streams: dict[str, np.ndarray] = {}
     frame_counts: dict[str, int] = {}
     for ch in plan.channels:
         spf = samples_per_frame(plan, ch)
         bits_path = directory / f"{ch.id}.bits"
         samples_path = directory / f"{ch.id}.samples"
         if bits_path.exists():
-            bits = _bytes_to_bits(bits_path.read_bytes())
+            bits = np.unpackbits(np.frombuffer(bits_path.read_bytes(), np.uint8))
             per = spf * plan.resolution
-            frames = _frame_count_digital(len(bits), per, ch.id)
-            if any(c == "1" for c in bits[frames * per :]):
+            frames = _frame_count_digital(bits.size, per, ch.id)
+            if bits[frames * per :].any():
                 raise DataError(f"channel {ch.id!r}: nonzero bits beyond the last whole frame")
-            streams[ch.id] = bits[: frames * per]
+            # the whole stream is quantized at once; frames then carry samples
+            streams[ch.id] = _quantize_bits(bits[: frames * per], plan.resolution)
             frame_counts[ch.id] = frames
         elif samples_path.exists():
             values = _read_samples(samples_path, args.format)
@@ -196,17 +192,13 @@ def _mux_stream(plan: RatePlan, system: FilterPair, args: argparse.Namespace) ->
         raise DataError(f"channels disagree on frame count: {frame_counts}")
     n_frames = counts.pop()
 
+    spfs = {ch.id: samples_per_frame(plan, ch) for ch in plan.channels}
     pieces = []
     for k in range(n_frames):
-        payloads = []
-        for ch in plan.channels:
-            spf = samples_per_frame(plan, ch)
-            content = streams[ch.id]
-            if isinstance(content, str):
-                per = spf * plan.resolution
-                payloads.append(TributaryPayload.from_bits(ch.id, content[k * per : (k + 1) * per]))
-            else:
-                payloads.append(TributaryPayload.from_samples(ch.id, content[k * spf : (k + 1) * spf]))
+        payloads = [
+            TributaryPayload.from_samples(cid, streams[cid][k * spf : (k + 1) * spf])
+            for cid, spf in spfs.items()
+        ]
         pieces.append(mux(plan, system, payloads).samples)
     return np.concatenate(pieces)
 
@@ -233,17 +225,28 @@ def cmd_demux(args: argparse.Namespace) -> int:
     digital = args.payload == "bits"
     per_channel: dict[str, list] = {ch.id: [] for ch in plan.channels}
     for k in range(signal.size // n):
-        frame_payloads = demux(plan, system, signal[k * n : (k + 1) * n], digital=digital)
-        for p in frame_payloads:
-            per_channel[p.id].append(p.bits if digital else p.samples)
+        for p in demux(plan, system, signal[k * n : (k + 1) * n], digital=False):
+            per_channel[p.id].append(p.samples)
+    streams = {cid: np.concatenate(parts) for cid, parts in per_channel.items()}
+
+    if digital:
+        # each channel's stream is decoded at once, before any file is written
+        packed = {}
+        for ch in plan.channels:
+            try:
+                bits = _dequantize_bits(streams[ch.id], plan.resolution)
+            except OffGrid as exc:
+                frame = exc.index // samples_per_frame(plan, ch)
+                raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc
+            packed[ch.id] = np.packbits(bits).tobytes()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in plan.channels:
         if digital:
-            (out_dir / f"{ch.id}.bits").write_bytes(_bits_to_bytes("".join(per_channel[ch.id])))
+            (out_dir / f"{ch.id}.bits").write_bytes(packed[ch.id])
         else:
-            _write_samples(out_dir / f"{ch.id}.samples", np.concatenate(per_channel[ch.id]), args.format)
+            _write_samples(out_dir / f"{ch.id}.samples", streams[ch.id], args.format)
     print(f"recovered {len(plan.channels)} channel(s) over {signal.size // n} frame(s) into {out_dir}")
     return EXIT_OK
 

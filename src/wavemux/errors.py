@@ -106,4 +106,12 @@ class ShapeMismatch(DataError):
 
 class OffGrid(WavemuxError):
     """A recovered sample lies farther than the guard band from every
-    quantizer level, indicating corrupted input or a wrong resolution."""
+    quantizer level, indicating corrupted input or a wrong resolution.
+
+    ``index`` is the position of the first off-grid sample in the decoded
+    array, or None when not known.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index

@@ -16,6 +16,14 @@ which places the 2^B levels symmetrically inside (-1, 1) with step
 the distance to the decision boundary), so reconstruction noise around
 1e-10 never flips a bit while grossly off-grid samples, such as those
 produced by demultiplexing with the wrong wavelet, are rejected.
+
+One codec core does the bit work on uint8 arrays of 0/1:
+``_quantize_bits`` packs B-bit words with ``np.packbits`` and
+``_dequantize_bits`` runs the guard-band test and unpacks the words with
+``np.unpackbits``, with no Python loop per word. The public
+``quantize_words`` and ``dequantize_samples`` keep bit strings at the API
+and only view them as ASCII bytes ('0' = 48) on the way in and out; the
+command line calls the core directly on whole file streams.
 """
 
 from __future__ import annotations
@@ -111,28 +119,32 @@ def _check_resolution(resolution: int) -> None:
         raise BadResolution(f"resolution must be in 1..24 bits, got {resolution}")
 
 
-def quantize_words(bits: str, resolution: int) -> np.ndarray:
-    """Map consecutive B-bit words (MSB first, unsigned) to samples in (-1, 1)."""
-    _check_resolution(resolution)
-    if len(bits) % resolution:
-        raise BadLength(f"{len(bits)} bits is not a multiple of {resolution}")
-    if set(bits) - {"0", "1"}:
-        raise BadLength("bit strings may contain only '0' and '1'")
-    scale = 1 << resolution
-    words = np.array(
-        [int(bits[i : i + resolution], 2) for i in range(0, len(bits), resolution)],
-        dtype=float,
-    )
-    return (2.0 * words + 1.0 - scale) / scale
+def _quantize_bits(bits: np.ndarray, resolution: int) -> np.ndarray:
+    """Map a uint8 array of 0/1 bits, B per word, to samples in (-1, 1).
 
-
-def dequantize_samples(values: np.ndarray, resolution: int) -> str:
-    """Decode samples back into the bit string; nearest-level with guard band.
-
-    Raises OffGrid if any sample lies farther than 2^-(B+1) from every
-    legal level.
+    The codec core: callers have checked the resolution, that the length
+    is a multiple of B and that every element is 0 or 1.
     """
-    _check_resolution(resolution)
+    # right-align each word in ceil(B/8) zero-padded bytes, so that one flat
+    # packbits yields every word as big-endian bytes
+    nbytes = (resolution + 7) // 8
+    padded = np.zeros((bits.size // resolution, 8 * nbytes), np.uint8)
+    padded[:, 8 * nbytes - resolution :] = bits.reshape(-1, resolution)
+    packed = np.packbits(padded).reshape(-1, nbytes)
+    words = packed[:, 0].astype(np.uint32)
+    for k in range(1, nbytes):
+        words = (words << 8) | packed[:, k]
+    scale = 1 << resolution
+    return words * (2.0 / scale) + (1.0 / scale - 1.0)  # (2w + 1 - 2^B) / 2^B, exact
+
+
+def _dequantize_bits(values: np.ndarray, resolution: int) -> np.ndarray:
+    """Decode samples to a uint8 array of 0/1 bits; nearest level with guard band.
+
+    The codec core behind :func:`dequantize_samples`. Raises OffGrid,
+    with ``index`` set to the first offending sample, if any sample lies
+    farther than 2^-(B+1) from every legal level.
+    """
     v = np.asarray(values, dtype=float)
     scale = 1 << resolution
     nearest = np.clip(np.rint((v * scale - 1.0 + scale) / 2.0), 0, scale - 1)
@@ -143,10 +155,36 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
         k = int(np.argmax(bad))
         raise OffGrid(
             f"{int(bad.sum())} of {v.size} samples off-grid at B={resolution};"
-            f" first at index {k}: value {v[k]:.6g}"
+            f" first at index {k}: value {v[k]:.6g}",
+            index=k,
         )
-    words = nearest.astype(np.int64)
-    return "".join(format(w, f"0{resolution}b") for w in words)
+    # left-align each word in its ceil(B/8) big-endian bytes, then unpack B bits per row
+    nbytes = (resolution + 7) // 8
+    aligned = (nearest * float(1 << (8 * nbytes - resolution))).astype(">u4")
+    rows = aligned.view(np.uint8).reshape(-1, 4)[:, 4 - nbytes :]
+    return np.unpackbits(rows, axis=1, count=resolution).reshape(-1)
+
+
+def quantize_words(bits: str, resolution: int) -> np.ndarray:
+    """Map consecutive B-bit words (MSB first, unsigned) to samples in (-1, 1)."""
+    _check_resolution(resolution)
+    if len(bits) % resolution:
+        raise BadLength(f"{len(bits)} bits is not a multiple of {resolution}")
+    # '0'/'1' become 0/1; any other character, non-ASCII ones as '?', lands above 1
+    u8 = np.frombuffer(bits.encode("ascii", "replace"), np.uint8) - 48
+    if u8.max(initial=0) > 1:
+        raise BadLength("bit strings may contain only '0' and '1'")
+    return _quantize_bits(u8, resolution)
+
+
+def dequantize_samples(values: np.ndarray, resolution: int) -> str:
+    """Decode samples back into the bit string; nearest-level with guard band.
+
+    Raises OffGrid if any sample lies farther than 2^-(B+1) from every
+    legal level.
+    """
+    _check_resolution(resolution)
+    return (_dequantize_bits(values, resolution) + 48).tobytes().decode("ascii")
 
 
 # --------------------------------------------------------------- frame build
@@ -268,7 +306,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
                     TributaryPayload.from_bits(p.id, dequantize_samples(p.samples, plan.resolution))
                 )
             except OffGrid as exc:
-                raise OffGrid(f"channel {p.id!r}: {exc}") from exc
+                raise OffGrid(f"channel {p.id!r}: {exc}", index=exc.index) from exc
         recovered = decoded
 
     by_id = {p.id: p for p in recovered}

@@ -140,13 +140,17 @@ def enumerate_compositions(levels: int, cap: int = DEFAULT_COMPOSITION_CAP) -> l
     if n > cap:
         raise JTooLarge(f"{n} compositions at levels={levels} exceed the cap of {cap}")
 
+    if levels == 1:
+        return [(2,)]  # a single tier: two basic-rate channels
     out: list[Composition] = []
 
     def rec(j: int, remaining: int, prefix: Composition) -> None:
-        if j == levels:
-            out.append(prefix + (remaining,))  # tier J has unit weight
-            return
         w = 1 << (levels - j)
+        if j == levels - 1:
+            # tier J has unit weight, so its count is whatever remains
+            out.extend([prefix + (cnt, remaining - cnt * w)
+                        for cnt in range(remaining // w, -1, -1)])
+            return
         for cnt in range(remaining // w, -1, -1):
             rec(j + 1, remaining - cnt * w, prefix + (cnt,))
 

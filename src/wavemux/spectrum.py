@@ -105,7 +105,8 @@ def random_payloads(plan: RatePlan, seed: int) -> list[TributaryPayload]:
     out = []
     for ch in plan.channels:
         nbits = samples_per_frame(plan, ch) * plan.resolution
-        out.append(TributaryPayload.from_bits(ch.id, "".join(map(str, rng.integers(0, 2, nbits)))))
+        bits = (rng.integers(0, 2, nbits) + 48).astype(np.uint8).tobytes().decode("ascii")
+        out.append(TributaryPayload.from_bits(ch.id, bits))
     return out
 
 

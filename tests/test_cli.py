@@ -235,6 +235,58 @@ class TestMuxDemuxCommands:
         assert main(["mux", str(directory), "--plan", plan_file,
                      "--out", str(tmp_path / "sig.f64")]) == 3
 
+    def test_off_grid_names_channel_and_frame(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=3, seed=14)
+        sig = tmp_path / "sig.f64"
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(sig)]) == 0
+        samples = np.frombuffer(sig.read_bytes(), dtype="<f8").copy()
+        samples[2 * 64 + 9] += 0.5  # frame 2; under haar it moves alpha's level-1 detail sample
+        sig.write_bytes(samples.tobytes())
+        capsys.readouterr()
+        assert main(["demux", str(sig), "--plan", plan_file,
+                     "--out", str(tmp_path / "rx")]) == 4
+        assert "channel 'alpha', frame 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("caller", ["demux signal", "mux samples payload"])
+    def test_non_numeric_csv_exits_3(self, tmp_path, plan_file, caller):
+        bad = "0.5\nabc\n"
+        if caller == "demux signal":
+            sig = tmp_path / "sig.csv"
+            sig.write_text(bad)
+            argv = ["demux", str(sig), "--plan", plan_file, "--format", "csv",
+                    "--out", str(tmp_path / "rx")]
+        else:
+            directory = tmp_path / "payloads"
+            directory.mkdir()
+            for cid, cnt in {"alpha": 32, "bravo": 16, "charlie": 16}.items():
+                (directory / f"{cid}.samples").write_text("0.5\n" * cnt)
+            (directory / "bravo.samples").write_text(bad)
+            argv = ["mux", str(directory), "--plan", plan_file, "--format", "csv",
+                    "--out", str(tmp_path / "sig.csv")]
+        assert main(argv) == 3
+
+    def test_mux_line_equals_library_mux_frame_by_frame(self, tmp_path, plan_file):
+        from wavemux import TributaryPayload, load_plan, make_wavelet_system, mux
+
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=3, seed=15)
+        sig = tmp_path / "sig.f64"
+        assert main(["mux", str(payloads), "--plan", plan_file, "--wavelet", "db4",
+                     "--out", str(sig)]) == 0
+        plan, system = load_plan(plan_file), make_wavelet_system("db4")
+        streams = {
+            ch["id"]: "".join(map(str, np.unpackbits(
+                np.frombuffer((payloads / f"{ch['id']}.bits").read_bytes(), np.uint8))))
+            for ch in J3_PLAN["channels"]
+        }
+        frames = []
+        for k in range(3):
+            frame_payloads = []
+            for cid, bits in streams.items():
+                per = len(bits) // 3
+                frame_payloads.append(TributaryPayload.from_bits(cid, bits[k * per : (k + 1) * per]))
+            frames.append(mux(plan, system, frame_payloads).samples)
+        assert sig.read_bytes() == np.concatenate(frames).astype("<f8").tobytes()
+
     def test_wrong_signal_length_exits_3(self, tmp_path, plan_file):
         sig = tmp_path / "sig.f64"
         sig.write_bytes(np.zeros(100, dtype="<f8").tobytes())  # not a multiple of 64

@@ -72,8 +72,21 @@ class TestQuantizer:
     def test_bad_length(self):
         with pytest.raises(BadLength):
             quantize_words("101", 2)
-        with pytest.raises(BadLength):
-            quantize_words("10x0", 2)
+        # any character other than '0'/'1', ASCII or not
+        for bits in ("10x0", "1020", "10/0", "10\u00e90", "1\u20ac00"):
+            with pytest.raises(BadLength):
+                quantize_words(bits, 2)
+
+    @pytest.mark.parametrize("b", range(1, 25))
+    def test_words_map_to_levels_at_every_resolution(self, b):
+        # B = 8, 9, 16, 17 and 24 straddle the 1-, 2- and 3-byte word boundaries
+        rng = np.random.default_rng(100 + b)
+        words = rng.integers(0, 1 << b, 37)
+        words[:2] = 0, (1 << b) - 1
+        bits = "".join(format(int(w), f"0{b}b") for w in words)
+        samples = quantize_words(bits, b)
+        assert np.array_equal(samples, quantizer_levels(b)[words])
+        assert dequantize_samples(samples, b) == bits
 
     def test_bad_resolution(self):
         with pytest.raises(BadResolution):
