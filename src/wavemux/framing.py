@@ -114,6 +114,9 @@ class MuxedSignal:
 
 # ----------------------------------------------------------------- quantizer
 
+_QUANTIZE_BLOCK = 1 << 14  # words per packbits pass: a padded block of at most 384 KB
+
+
 def _check_resolution(resolution: int) -> None:
     if not 1 <= resolution <= 24:
         raise BadResolution(f"resolution must be in 1..24 bits, got {resolution}")
@@ -122,20 +125,32 @@ def _check_resolution(resolution: int) -> None:
 def _quantize_bits(bits: np.ndarray, resolution: int) -> np.ndarray:
     """Map a uint8 array of 0/1 bits, B per word, to samples in (-1, 1).
 
-    The codec core: callers have checked the resolution, that the length
-    is a multiple of B and that every element is 0 or 1.
+    The codec core behind :func:`quantize_words`; callers have checked
+    that every element is 0 or 1.
     """
+    _check_resolution(resolution)
+    if bits.size % resolution:
+        raise BadLength(f"{bits.size} bits is not a multiple of {resolution}")
     # right-align each word in ceil(B/8) zero-padded bytes, so that one flat
-    # packbits yields every word as big-endian bytes
+    # packbits yields every word as big-endian bytes; going block by block
+    # keeps the padded copy small whatever the stream length
+    rows = bits.reshape(-1, resolution)
     nbytes = (resolution + 7) // 8
-    padded = np.zeros((bits.size // resolution, 8 * nbytes), np.uint8)
-    padded[:, 8 * nbytes - resolution :] = bits.reshape(-1, resolution)
-    packed = np.packbits(padded).reshape(-1, nbytes)
-    words = packed[:, 0].astype(np.uint32)
-    for k in range(1, nbytes):
-        words = (words << 8) | packed[:, k]
+    padded = np.zeros((min(len(rows), _QUANTIZE_BLOCK), 8 * nbytes), np.uint8)
     scale = 1 << resolution
-    return words * (2.0 / scale) + (1.0 / scale - 1.0)  # (2w + 1 - 2^B) / 2^B, exact
+    samples = np.empty(len(rows))
+    for start in range(0, len(rows), _QUANTIZE_BLOCK):
+        block = padded[: len(rows) - start]
+        block[:, 8 * nbytes - resolution :] = rows[start : start + _QUANTIZE_BLOCK]
+        packed = np.packbits(block).reshape(-1, nbytes)
+        words = packed[:, 0].astype(np.uint32)
+        for k in range(1, nbytes):
+            words <<= 8
+            words |= packed[:, k]
+        out = samples[start : start + _QUANTIZE_BLOCK]
+        np.multiply(words, 2.0 / scale, out=out)
+        out += 1.0 / scale - 1.0  # (2w + 1 - 2^B) / 2^B, exact
+    return samples
 
 
 def _dequantize_bits(values: np.ndarray, resolution: int) -> np.ndarray:
@@ -145,6 +160,7 @@ def _dequantize_bits(values: np.ndarray, resolution: int) -> np.ndarray:
     with ``index`` set to the first offending sample, if any sample lies
     farther than 2^-(B+1) from every legal level.
     """
+    _check_resolution(resolution)
     v = np.asarray(values, dtype=float)
     scale = 1 << resolution
     nearest = np.clip(np.rint((v * scale - 1.0 + scale) / 2.0), 0, scale - 1)
@@ -167,9 +183,7 @@ def _dequantize_bits(values: np.ndarray, resolution: int) -> np.ndarray:
 
 def quantize_words(bits: str, resolution: int) -> np.ndarray:
     """Map consecutive B-bit words (MSB first, unsigned) to samples in (-1, 1)."""
-    _check_resolution(resolution)
-    if len(bits) % resolution:
-        raise BadLength(f"{len(bits)} bits is not a multiple of {resolution}")
+    _check_resolution(resolution)  # a bad resolution is reported before a bad character
     # '0'/'1' become 0/1; any other character, non-ASCII ones as '?', lands above 1
     u8 = np.frombuffer(bits.encode("ascii", "replace"), np.uint8) - 48
     if u8.max(initial=0) > 1:
@@ -183,7 +197,6 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
     Raises OffGrid if any sample lies farther than 2^-(B+1) from every
     legal level.
     """
-    _check_resolution(resolution)
     return (_dequantize_bits(values, resolution) + 48).tobytes().decode("ascii")
 
 

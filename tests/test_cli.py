@@ -219,6 +219,18 @@ class TestMuxDemuxCommands:
         assert main(["demux", str(sig), "--plan", plan_file,
                      "--out", str(tmp_path / "rx")]) == 4
 
+    @pytest.mark.parametrize("b", [25, 33])
+    def test_resolution_above_24_exits_2(self, tmp_path, b):
+        doc = dict(J3_PLAN, B=b)
+        plan = write_plan(tmp_path, doc)
+        payloads = write_random_payloads(tmp_path, doc)
+        assert main(["mux", str(payloads), "--plan", plan,
+                     "--out", str(tmp_path / "sig.f64")]) == 2
+        sig = tmp_path / "zeros.f64"
+        sig.write_bytes(np.zeros(doc["N"], dtype="<f8").tobytes())
+        assert main(["demux", str(sig), "--plan", plan, "--payload", "bits",
+                     "--out", str(tmp_path / "rx")]) == 2
+
     def test_ragged_raw_signal_exits_3(self, tmp_path, plan_file):
         sig = tmp_path / "sig.f64"
         sig.write_bytes(bytes(13))

@@ -27,6 +27,7 @@ from wavemux import (
     mux,
     quantize_words,
 )
+from wavemux.framing import _QUANTIZE_BLOCK
 from wavemux.mra import CoefficientFrame
 from oracles import quantizer_levels, random_scaling_filter
 
@@ -79,11 +80,14 @@ class TestQuantizer:
 
     @pytest.mark.parametrize("b", range(1, 25))
     def test_words_map_to_levels_at_every_resolution(self, b):
-        # B = 8, 9, 16, 17 and 24 straddle the 1-, 2- and 3-byte word boundaries
+        # B = 8, 9, 16, 17 and 24 straddle the 1-, 2- and 3-byte word boundaries;
+        # the stream spans two whole quantizer blocks and part of a third
         rng = np.random.default_rng(100 + b)
-        words = rng.integers(0, 1 << b, 37)
+        words = rng.integers(0, 1 << b, 2 * _QUANTIZE_BLOCK + 37)
         words[:2] = 0, (1 << b) - 1
-        bits = "".join(format(int(w), f"0{b}b") for w in words)
+        bits = ((words[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8) + 48
+        bits = bits.tobytes().decode("ascii")
+        assert bits[-b:] == format(int(words[-1]), f"0{b}b")
         samples = quantize_words(bits, b)
         assert np.array_equal(samples, quantizer_levels(b)[words])
         assert dequantize_samples(samples, b) == bits
