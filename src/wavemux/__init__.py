@@ -39,16 +39,20 @@ from .framing import (
     TributaryPayload,
     assemble_frame,
     demux,
+    demux_frames,
     dequantize_samples,
     disassemble_frame,
     mux,
+    mux_frames,
     quantize_words,
+    tdm_row,
 )
 from .mra import CoefficientFrame, LevelPair, analyze, analyze_level, synthesize, synthesize_level
 from .rateplan import (
     AllocationTree,
     Channel,
     Composition,
+    FrameLayout,
     LeafNode,
     RatePlan,
     Slot,

@@ -2,9 +2,9 @@
 
 Subcommands: ``plan`` (validate and describe a plan file), ``compositions``
 (tabulate the admissible channel mixes for J scales), ``mux`` / ``demux``
-(file-based multiplex and demultiplex, frame by frame), ``spectrum``
-(CSV spectral comparison against the TDM reference), and ``roundtrip``
-(self-checking mux-then-demux on seeded random payloads).
+(file-based multiplex and demultiplex), ``spectrum`` (CSV spectral
+comparison against the TDM reference), and ``roundtrip`` (self-checking
+mux-then-demux on seeded random payloads).
 
 Exit codes: 0 success, 2 invalid plan or configuration, 3 I/O or payload
 shape problem, 4 demux integrity failure (off-grid samples).
@@ -12,10 +12,12 @@ shape problem, 4 demux integrity failure (off-grid samples).
 Payload files are named ``<channel-id>.bits`` (packed bytes, bits consumed
 MSB-first) or ``<channel-id>.samples``. Sample and signal files are raw
 little-endian float64 or decimal CSV, selected by ``--format``. Inputs
-longer than one frame are processed frame by frame under the same plan;
-partial trailing frames are an error. Digital files are quantized, and
-recovered bits decoded, once per channel over the whole stream, so the
-frames themselves carry samples.
+may hold any whole number of frames under the same plan; partial
+trailing frames are an error. Each channel's whole stream is quantized,
+and its recovered bits decoded, at once; the streams then fill the
+columns of one ``(frames, N)`` TDM array, so ``mux``, ``demux`` and
+``spectrum`` each make one call to ``framing.mux_frames`` or
+``framing.demux_frames``.
 """
 
 from __future__ import annotations
@@ -28,22 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, OffGrid
-from .framing import TributaryPayload, _dequantize_bits, _quantize_bits, demux, mux
+from .framing import _dequantize_bits, _quantize_bits, demux, demux_frames, mux, mux_frames
 from .rateplan import (
     RatePlan,
     aggregate_rate,
-    allocate_bands,
     enumerate_compositions,
     frame_time,
     iter_band_slots,
     load_plan,
-    plan_digest,
-    samples_per_frame,
     tree_leaf,
     tributary_rates,
-    validate_plan,
 )
-from .spectrum import SpectrumReport, compare_spectra, dft_magnitude, random_payloads, tdm_reference, write_report_csv
+# dft_magnitude is unused here, but perfbench/tracing.py wraps it in this module by name
+from .spectrum import SpectrumReport, dft_magnitude, random_payloads, tdm_reference, write_report_csv  # noqa: F401
 from .wavelets import FilterPair, format_coefficients_csv, make_wavelet_system, parse_coefficients_csv
 
 EXIT_OK = 0
@@ -59,6 +58,13 @@ def _u64(text: str) -> int:
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
     return value
+
+
+def _load(args: argparse.Namespace) -> tuple[RatePlan, FilterPair]:
+    """The compiled plan, then the wavelet: a bad plan is reported first."""
+    plan = load_plan(args.plan)
+    plan.layout  # compiling validates the plan
+    return plan, _resolve_wavelet(args.wavelet, args.verbose)
 
 
 def _resolve_wavelet(spec: str, verbose: bool = False) -> FilterPair:
@@ -97,21 +103,10 @@ def _read_samples(path: Path, fmt: str) -> np.ndarray:
     return np.array(values)
 
 
-def _write_samples(path: Path, values: np.ndarray, fmt: str) -> None:
+def _encode_samples(values: np.ndarray, fmt: str) -> bytes:
     if fmt == "raw":
-        path.write_bytes(np.asarray(values, dtype="<f8").tobytes())
-    else:
-        path.write_text("".join(f"{float(v):.17g}\n" for v in values), encoding="utf-8")
-
-
-def _frame_count_digital(total_bits: int, per_frame: int, channel_id: str) -> int:
-    frames = total_bits // per_frame
-    leftover = total_bits - frames * per_frame
-    if frames < 1 or leftover >= 8:
-        raise DataError(
-            f"channel {channel_id!r}: {total_bits} bits do not form whole frames of {per_frame} bits"
-        )
-    return frames
+        return np.asarray(values, dtype="<f8").tobytes()
+    return "".join(f"{float(v):.17g}\n" for v in values).encode("utf-8")
 
 
 # ------------------------------------------------------------------ commands
@@ -119,30 +114,28 @@ def _frame_count_digital(total_bits: int, per_frame: int, channel_id: str) -> in
 def cmd_plan(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     try:
-        composition = validate_plan(plan)
+        layout = plan.layout
     except ConfigError as exc:
         print(f"plan invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    tree = allocate_bands(plan)
     t = frame_time(plan)
     print(f"plan: valid  N={plan.blocklength} J={plan.levels} R={plan.basic_rate} B={plan.resolution}")
     if args.verbose:
-        print(f"digest: {plan_digest(plan)}")
-    print(f"composition: {composition}")
+        print(f"digest: {layout.digest}")
+    print(f"composition: {layout.composition}")
     print(f"frame_time: {t} s ({_format_seconds(t)})")
     print(f"aggregate_rate: {aggregate_rate(plan)} bps")
     print("allocation:")
     placement: dict[str, str] = {}
-    for level, slot in iter_band_slots(tree):
+    for level, slot in iter_band_slots(layout.tree):
         placement[slot.channel_id] = (
             f"detail band level {level}, decimation {slot.decimation}, phase {slot.phase}"
         )
-    leaf = tree_leaf(tree)
+    leaf = tree_leaf(layout.tree)
     placement[leaf.channel_id] = f"approximation leaf at level {leaf.level}"
-    for ch in plan.channels:
-        spf = samples_per_frame(plan, ch)
-        print(f"  {ch.id}: rate {ch.rate} bps, {spf} samples/frame, {placement[ch.id]}")
+    for ch, (lo, hi) in zip(plan.channels, layout.bounds):
+        print(f"  {ch.id}: rate {ch.rate} bps, {hi - lo} samples/frame, {placement[ch.id]}")
     return EXIT_OK
 
 
@@ -159,124 +152,75 @@ def cmd_compositions(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mux_stream(plan: RatePlan, system: FilterPair, args: argparse.Namespace) -> np.ndarray:
+def cmd_mux(args: argparse.Namespace) -> int:
+    plan, system = _load(args)
     directory = Path(args.payload_dir)
-    streams: dict[str, np.ndarray] = {}
-    frame_counts: dict[str, int] = {}
-    for ch in plan.channels:
-        spf = samples_per_frame(plan, ch)
+    columns: dict[str, np.ndarray] = {}  # channel id -> its stream as (frames, samples per frame)
+    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+        spf = hi - lo
         bits_path = directory / f"{ch.id}.bits"
         samples_path = directory / f"{ch.id}.samples"
         if bits_path.exists():
             bits = np.unpackbits(np.frombuffer(bits_path.read_bytes(), np.uint8))
             per = spf * plan.resolution
-            frames = _frame_count_digital(bits.size, per, ch.id)
-            if bits[frames * per :].any():
+            whole = bits.size - bits.size % per  # bits past it may only pad the last byte
+            if not whole or bits.size - whole >= 8:
+                raise DataError(f"channel {ch.id!r}: {bits.size} bits do not form whole frames of {per} bits")
+            if bits[whole:].any():
                 raise DataError(f"channel {ch.id!r}: nonzero bits beyond the last whole frame")
-            # the whole stream is quantized at once; frames then carry samples
-            streams[ch.id] = _quantize_bits(bits[: frames * per], plan.resolution)
-            frame_counts[ch.id] = frames
+            values = _quantize_bits(bits[:whole], plan.resolution)
         elif samples_path.exists():
             values = _read_samples(samples_path, args.format)
             if values.size < spf or values.size % spf:
                 raise DataError(
                     f"channel {ch.id!r}: {values.size} samples do not form whole frames of {spf}"
                 )
-            streams[ch.id] = values
-            frame_counts[ch.id] = values.size // spf
         else:
             raise DataError(f"no payload file for channel {ch.id!r} in {directory}")
+        columns[ch.id] = values.reshape(-1, spf)
 
-    counts = set(frame_counts.values())
-    if len(counts) != 1:
+    frame_counts = {cid: len(block) for cid, block in columns.items()}
+    if len(set(frame_counts.values())) != 1:
         raise DataError(f"channels disagree on frame count: {frame_counts}")
-    n_frames = counts.pop()
-
-    spfs = {ch.id: samples_per_frame(plan, ch) for ch in plan.channels}
-    pieces = []
-    for k in range(n_frames):
-        payloads = [
-            TributaryPayload.from_samples(cid, streams[cid][k * spf : (k + 1) * spf])
-            for cid, spf in spfs.items()
-        ]
-        pieces.append(mux(plan, system, payloads).samples)
-    return np.concatenate(pieces)
-
-
-def cmd_mux(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    validate_plan(plan)
-    system = _resolve_wavelet(args.wavelet, args.verbose)
-    signal = _mux_stream(plan, system, args)
-    _write_samples(Path(args.out), signal, args.format)
-    print(f"wrote {signal.size} samples ({signal.size // plan.blocklength} frame(s)) to {args.out}")
+    tdm = np.concatenate(list(columns.values()), axis=1)  # declaration order is TDM order
+    signal = mux_frames(plan, system, tdm)
+    Path(args.out).write_bytes(_encode_samples(signal, args.format))
+    print(f"wrote {signal.size} samples ({len(tdm)} frame(s)) to {args.out}")
     return EXIT_OK
 
 
 def cmd_demux(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    validate_plan(plan)
-    system = _resolve_wavelet(args.wavelet, args.verbose)
-    signal = _read_samples(Path(args.signal), args.format)
-    n = plan.blocklength
-    if signal.size < n or signal.size % n:
-        raise DataError(f"signal has {signal.size} samples, not a whole number of {n}-sample frames")
-
-    digital = args.payload == "bits"
-    per_channel: dict[str, list] = {ch.id: [] for ch in plan.channels}
-    for k in range(signal.size // n):
-        for p in demux(plan, system, signal[k * n : (k + 1) * n], digital=False):
-            per_channel[p.id].append(p.samples)
-    streams = {cid: np.concatenate(parts) for cid, parts in per_channel.items()}
-
-    if digital:
-        # each channel's stream is decoded at once, before any file is written
-        packed = {}
-        for ch in plan.channels:
-            try:
-                bits = _dequantize_bits(streams[ch.id], plan.resolution)
-            except OffGrid as exc:
-                frame = exc.index // samples_per_frame(plan, ch)
-                raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc
-            packed[ch.id] = np.packbits(bits).tobytes()
+    plan, system = _load(args)
+    tdm = demux_frames(plan, system, _read_samples(Path(args.signal), args.format))
+    files: dict[str, bytes] = {}  # every channel is decoded before any file is written
+    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+        stream = tdm[:, lo:hi].reshape(-1)
+        if args.payload == "samples":
+            files[f"{ch.id}.samples"] = _encode_samples(stream, args.format)
+            continue
+        try:
+            bits = _dequantize_bits(stream, plan.resolution)
+        except OffGrid as exc:
+            frame = exc.index // (hi - lo)
+            raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc
+        files[f"{ch.id}.bits"] = np.packbits(bits).tobytes()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for ch in plan.channels:
-        if digital:
-            (out_dir / f"{ch.id}.bits").write_bytes(packed[ch.id])
-        else:
-            _write_samples(out_dir / f"{ch.id}.samples", streams[ch.id], args.format)
-    print(f"recovered {len(plan.channels)} channel(s) over {signal.size // n} frame(s) into {out_dir}")
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
+    print(f"recovered {len(plan.channels)} channel(s) over {len(tdm)} frame(s) into {out_dir}")
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    validate_plan(plan)
-    system = _resolve_wavelet(args.wavelet, args.verbose)
+    plan, system = _load(args)
     if args.frames < 1:
         print(f"--frames must be >= 1, got {args.frames}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.frames == 1:
-        report = compare_spectra(plan, system, random_payloads(plan, args.seed))
-    else:
-        # multi-frame concatenation before the transform; one seed stream
-        mrdm_parts, tdm_parts = [], []
-        for k in range(args.frames):
-            payloads = random_payloads(plan, args.seed + k)
-            mrdm_parts.append(mux(plan, system, payloads).samples)
-            tdm_parts.append(tdm_reference(plan, payloads))
-        x_mrdm = np.concatenate(mrdm_parts)
-        x_tdm = np.concatenate(tdm_parts)
-        report = SpectrumReport(
-            mag_tdm=dft_magnitude(x_tdm),
-            mag_mrdm=dft_magnitude(x_mrdm),
-            energy_tdm=float(np.dot(x_tdm, x_tdm)),
-            energy_mrdm=float(np.dot(x_mrdm, x_mrdm)),
-        )
-
+    # frame k carries the payloads of seed + k; the frames are concatenated before the DFT
+    tdm = np.stack([tdm_reference(plan, random_payloads(plan, args.seed + k)) for k in range(args.frames)])
+    report = SpectrumReport.from_signals(tdm.reshape(-1), mux_frames(plan, system, tdm))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         write_report_csv(report, fh, seed=args.seed, levels=plan.levels, wavelet=system.name)
     print(f"wrote {report.length}-row spectrum report to {args.out}")
@@ -284,9 +228,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan)
-    validate_plan(plan)
-    system = _resolve_wavelet(args.wavelet, args.verbose)
+    plan, system = _load(args)
     payloads = random_payloads(plan, args.seed)
     recovered = demux(plan, system, mux(plan, system, payloads))
     sent = {p.id: p.bits for p in payloads}

@@ -1,11 +1,17 @@
 """End-to-end multiplex and demultiplex of tributary payloads.
 
-The transmit chain quantizes each channel's bit stream into real samples,
-scatters the samples into a coefficient frame according to the allocation
-tree, and synthesizes the frame into one length-N signal. The receive
-chain is the exact mirror: analyze the signal down to the leaf level,
-read every channel's samples back out of its slot, and decode them to
-bits.
+A frame travels inside the library as a TDM row: every channel's samples
+concatenated in declaration order, N in all. The plan's frame layout
+(``plan.layout``, compiled once per plan) says where each TDM sample
+sits among the frame's wavelet coefficients, so the transmit chain is
+one scatter (:func:`assemble_frame`) and one synthesis per frame, and
+the receive chain one analysis down to the leaf level and one gather
+(:func:`disassemble_frame`). :func:`mux_frames` and :func:`demux_frames`
+run the chains over a ``(frames, N)`` array and hold the only frame
+loops. :func:`mux` and :func:`demux` run the same chain on one frame of
+payload objects (:func:`tdm_row` turns them into a row) without stacking
+it: at N = 2^18 the two extra full-length arrays, fresh memory on every
+call, cost about a third of the single-frame throughput.
 
 Binary words map to amplitudes by the offset-binary midrise rule
 
@@ -42,17 +48,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .mra import CoefficientFrame, analyze, synthesize
-from .rateplan import (
-    AllocationTree,
-    RatePlan,
-    allocate_bands,
-    iter_band_slots,
-    plan_digest,
-    slot_indices,
-    tree_depth,
-    tree_leaf,
-    validate_plan,
-)
+# allocate_bands, plan_digest and validate_plan are unused here, but
+# perfbench/tracing.py wraps them in this module by name
+from .rateplan import FrameLayout, RatePlan, allocate_bands, plan_digest, validate_plan  # noqa: F401
 from .wavelets import FilterPair
 
 __all__ = [
@@ -60,8 +58,11 @@ __all__ = [
     "MuxedSignal",
     "quantize_words",
     "dequantize_samples",
+    "tdm_row",
     "assemble_frame",
     "disassemble_frame",
+    "mux_frames",
+    "demux_frames",
     "mux",
     "demux",
 ]
@@ -210,9 +211,9 @@ def _payload_samples(payload: TributaryPayload, expected: int, resolution: int) 
                 f" {expected} samples * {resolution} bits"
             )
         return quantize_words(payload.bits, resolution)
-    if payload.samples.size != expected:
+    if payload.samples.ndim != 1 or payload.samples.size != expected:
         raise PayloadLengthMismatch(
-            f"channel {payload.id!r}: {payload.samples.size} samples, expected {expected}"
+            f"channel {payload.id!r}: samples of shape {payload.samples.shape}, expected ({expected},)"
         )
     return payload.samples
 
@@ -233,94 +234,95 @@ def _index_payloads(plan: RatePlan, payloads) -> dict[str, TributaryPayload]:
     return by_id
 
 
-def assemble_frame(plan: RatePlan, tree: AllocationTree, payloads) -> CoefficientFrame:
-    """Write every channel's samples into its slot of a coefficient frame.
+def tdm_row(plan: RatePlan, payloads) -> np.ndarray:
+    """One frame of payloads as its TDM row: the channels' samples in declaration order.
 
-    Band channels land on their polyphase indices in temporal order; the
-    leaf channel's samples become the deepest approximation verbatim.
-    Digital payloads are quantized with the plan's resolution first.
+    Digital payloads are quantized with the plan's resolution, so the row
+    holds exactly the N values that become the frame's coefficients.
     """
+    bounds = plan.layout.bounds
     by_id = _index_payloads(plan, payloads)
-    depth = tree_depth(tree)
-    n = plan.blocklength
-
-    details = [np.zeros(n >> level) for level in range(1, depth + 1)]
-    for level, slot in iter_band_slots(tree):
-        band = details[level - 1]
-        idx = slot_indices(band.size, slot.decimation, slot.phase)
-        band[idx] = _payload_samples(by_id[slot.channel_id], idx.size, plan.resolution)
-
-    leaf = tree_leaf(tree)
-    approx = np.array(
-        _payload_samples(by_id[leaf.channel_id], n >> depth, plan.resolution), dtype=float
-    )
-    return CoefficientFrame(tuple(details), approx)
+    return np.concatenate([
+        _payload_samples(by_id[ch.id], hi - lo, plan.resolution)
+        for ch, (lo, hi) in zip(plan.channels, bounds)
+    ])
 
 
-def disassemble_frame(frame: CoefficientFrame, tree: AllocationTree) -> list[TributaryPayload]:
-    """Read every channel's samples back out of a frame (sample mode).
+def assemble_frame(layout: FrameLayout, row: np.ndarray) -> CoefficientFrame:
+    """Scatter one TDM row into its coefficient frame through ``layout.index``."""
+    n = layout.index.size
+    flat = np.empty(n)
+    flat[layout.index] = row
+    details = tuple(flat[n - 2 * (n >> level) : n - (n >> level)] for level in range(1, layout.depth + 1))
+    return CoefficientFrame(details, flat[n - (n >> layout.depth) :])
 
-    Exact inverse of :func:`assemble_frame`; payloads come out band by
-    band from the finest level, the leaf channel last.
-    """
-    if frame.depth != tree_depth(tree):
+
+def disassemble_frame(frame: CoefficientFrame, layout: FrameLayout) -> np.ndarray:
+    """Gather one TDM row out of a coefficient frame; inverse of :func:`assemble_frame`."""
+    if frame.depth != layout.depth or frame.length != layout.index.size:
         raise ShapeMismatch(
-            f"frame depth {frame.depth} does not match allocation depth {tree_depth(tree)}"
+            f"frame of depth {frame.depth} over {frame.length} samples does not match the"
+            f" allocation: depth {layout.depth} over {layout.index.size}"
         )
-    out: list[TributaryPayload] = []
-    for level, slot in iter_band_slots(tree):
-        band = frame.details[level - 1]
-        idx = slot_indices(band.size, slot.decimation, slot.phase)
-        out.append(TributaryPayload.from_samples(slot.channel_id, band[idx]))
-    leaf = tree_leaf(tree)
-    out.append(TributaryPayload.from_samples(leaf.channel_id, frame.approx.copy()))
-    return out
+    return np.concatenate(frame.details + (frame.approx,))[layout.index]
 
 
 # ------------------------------------------------------------------ mux/demux
 
+def mux_frames(plan: RatePlan, system: FilterPair, tdm) -> np.ndarray:
+    """Multiplex a ``(frames, N)`` array of TDM rows into a line of frames * N samples."""
+    layout = plan.layout
+    tdm = np.asarray(tdm, dtype=float)
+    if tdm.ndim != 2 or len(tdm) < 1 or tdm.shape[1] != plan.blocklength:
+        raise ShapeMismatch(f"TDM array of shape {tdm.shape}, plan expects (frames >= 1, {plan.blocklength})")
+    return np.concatenate([synthesize(assemble_frame(layout, row), system) for row in tdm])
+
+
+def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
+    """Recover the ``(frames, N)`` TDM rows from a line of whole frames.
+
+    Analysis runs down to the allocation's leaf level only, so a leaf
+    channel's raw samples are never decomposed further.
+    """
+    layout = plan.layout
+    n = plan.blocklength
+    x = np.asarray(line, dtype=float)
+    if x.ndim != 1 or x.size < n or x.size % n:
+        raise ShapeMismatch(f"signal has {x.size} samples, not a whole number of {n}-sample frames")
+    frames = x.reshape(-1, n)
+    return np.stack([disassemble_frame(analyze(frame, layout.depth, system), layout) for frame in frames])
+
+
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     """Multiplex one frame of payloads into a length-N signal."""
-    validate_plan(plan)
-    tree = allocate_bands(plan)
-    frame = assemble_frame(plan, tree, payloads)
-    return MuxedSignal(synthesize(frame, system), plan_digest(plan))
+    layout = plan.layout
+    return MuxedSignal(synthesize(assemble_frame(layout, tdm_row(plan, payloads)), system), layout.digest)
 
 
 def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -> list[TributaryPayload]:
-    """Recover every tributary from a multiplexed signal.
+    """Recover every tributary from one multiplexed frame.
 
-    Analysis runs down to the allocation's leaf level only, so a leaf
-    channel's raw samples are never decomposed further. With
-    ``digital=True`` each channel is decoded back to bits (OffGrid names
-    the offending channel); otherwise sample payloads are returned.
+    With ``digital=True`` each channel is decoded back to bits (OffGrid
+    names the offending channel); otherwise sample payloads are returned.
     Payloads are listed in plan declaration order.
     """
-    validate_plan(plan)
-    tree = allocate_bands(plan)
-
+    layout = plan.layout
     if isinstance(signal, MuxedSignal):
-        if signal.plan_digest and signal.plan_digest != plan_digest(plan):
+        if signal.plan_digest and signal.plan_digest != layout.digest:
             raise ShapeMismatch("signal was multiplexed under a different plan")
-        x = signal.samples
-    else:
-        x = np.asarray(signal, dtype=float)
+        signal = signal.samples
+    x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size != plan.blocklength:
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 
-    frame = analyze(x, tree_depth(tree), system)
-    recovered = disassemble_frame(frame, tree)
-
-    if digital:
-        decoded = []
-        for p in recovered:
-            try:
-                decoded.append(
-                    TributaryPayload.from_bits(p.id, dequantize_samples(p.samples, plan.resolution))
-                )
-            except OffGrid as exc:
-                raise OffGrid(f"channel {p.id!r}: {exc}", index=exc.index) from exc
-        recovered = decoded
-
-    by_id = {p.id: p for p in recovered}
-    return [by_id[c.id] for c in plan.channels]
+    row = disassemble_frame(analyze(x, layout.depth, system), layout)
+    out = []
+    for ch, (lo, hi) in zip(plan.channels, layout.bounds):
+        if not digital:
+            out.append(TributaryPayload.from_samples(ch.id, row[lo:hi]))
+            continue
+        try:
+            out.append(TributaryPayload.from_bits(ch.id, dequantize_samples(row[lo:hi], plan.resolution)))
+        except OffGrid as exc:
+            raise OffGrid(f"channel {ch.id!r}: {exc}", index=exc.index) from exc
+    return out

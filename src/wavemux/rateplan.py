@@ -16,6 +16,11 @@ frame holds 2^J units, the detail band at level l holds 2^(J-l), and a
 channel of rate 2^(J-j) R occupies 2^(J-j) of them. Channels are placed
 by a buddy allocator (see :func:`allocate_bands`) that reproduces the
 obvious equal-rate layout and stays deterministic for mixed rates.
+
+A plan is compiled once into a :class:`FrameLayout` (``plan.layout``):
+validation, allocation, digest and the permutation between a frame's
+time-division row and its coefficient vector, computed on first use and
+kept on the frozen plan.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -44,6 +50,7 @@ from .errors import (
 __all__ = [
     "Channel",
     "RatePlan",
+    "FrameLayout",
     "Composition",
     "Slot",
     "LeafNode",
@@ -100,6 +107,11 @@ class RatePlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
+
+    @cached_property
+    def layout(self) -> "FrameLayout":
+        """This plan compiled on first use; raises what :func:`validate_plan` raises."""
+        return _compile_layout(self)
 
 
 def _is_pow2(n: int) -> bool:
@@ -324,7 +336,12 @@ class _Band:
 
 
 def allocate_bands(plan: RatePlan) -> AllocationTree:
-    """Deterministically assign every channel to a band slot or leaf node.
+    """The plan's band allocation (see :func:`_allocate`), built once with its layout."""
+    return plan.layout.tree
+
+
+def _allocate(plan: RatePlan) -> AllocationTree:
+    """Deterministically assign every channel of a valid plan to a band slot or leaf node.
 
     Channels are taken in descending rate (declaration order breaking
     ties). Each is placed in the finest detail band holding a free buddy
@@ -333,7 +350,6 @@ def allocate_bands(plan: RatePlan) -> AllocationTree:
     sizes match, otherwise split one level deeper and the search retried.
     Placement always succeeds for a valid plan.
     """
-    validate_plan(plan)
     levels = plan.levels
     order = sorted(plan.channels, key=lambda c: -c.rate)  # stable sort keeps declaration order
 
@@ -367,10 +383,7 @@ def allocate_bands(plan: RatePlan) -> AllocationTree:
 
 def tree_depth(tree: AllocationTree) -> int:
     """Level of the terminal leaf node."""
-    node = tree
-    while isinstance(node, SplitNode):
-        node = node.child
-    return node.level
+    return tree_leaf(tree).level
 
 
 def tree_leaf(tree: AllocationTree) -> LeafNode:
@@ -387,6 +400,44 @@ def iter_band_slots(tree: AllocationTree) -> Iterator[tuple[int, Slot]]:
         for slot in node.band:
             yield node.level + 1, slot
         node = node.child
+
+
+# -------------------------------------------------------------- frame layout
+
+@dataclass(frozen=True)
+class FrameLayout:
+    """Where every sample of a frame sits, compiled once from a valid plan.
+
+    A frame's TDM row holds the channels' samples concatenated in
+    declaration order, channel ``i`` at ``row[lo:hi]`` for
+    ``(lo, hi) = bounds[i]``. Its flat coefficient vector holds the detail
+    bands finest first, then the approximation at level ``depth``. The two
+    are permutations of each other: TDM sample ``i`` is flat coefficient
+    ``index[i]`` (a read-only array).
+    """
+
+    composition: Composition
+    tree: AllocationTree
+    depth: int
+    digest: str
+    bounds: tuple[tuple[int, int], ...]
+    index: np.ndarray
+
+
+def _compile_layout(plan: RatePlan) -> FrameLayout:
+    composition = validate_plan(plan)
+    tree = _allocate(plan)
+    n = plan.blocklength
+    # channel id -> its flat coefficient indices; the band at level l starts at N - 2 (N >> l)
+    flat = {slot.channel_id: n - 2 * (n >> level) + slot_indices(n >> level, slot.decimation, slot.phase)
+            for level, slot in iter_band_slots(tree)}
+    leaf = tree_leaf(tree)
+    flat[leaf.channel_id] = np.arange(n - (n >> leaf.level), n)
+    ends = np.cumsum([flat[ch.id].size for ch in plan.channels]).tolist()
+    index = np.concatenate([flat[ch.id] for ch in plan.channels])
+    index.flags.writeable = False
+    return FrameLayout(composition, tree, leaf.level, plan_digest(plan),
+                       tuple(zip([0] + ends[:-1], ends)), index)
 
 
 # ------------------------------------------------------------- serialization
@@ -408,16 +459,22 @@ def plan_to_dict(plan: RatePlan) -> dict:
 
 
 def _whole(value, field: str) -> int:
-    """int(value), refusing a number that int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) of a JSON number, refusing booleans and numbers int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"malformed plan document: {field} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _channel_id(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"malformed plan document: channel id must be a string, got {value!r}")
+    return value
 
 
 def plan_from_dict(data: dict) -> RatePlan:
     try:
         channels = tuple(
-            Channel(str(c["id"]), _whole(c["rate_bps"], "rate_bps"),
+            Channel(_channel_id(c["id"]), _whole(c["rate_bps"], "rate_bps"),
                     float(c["f_m_hz"]) if "f_m_hz" in c else None)
             for c in data["channels"]
         )

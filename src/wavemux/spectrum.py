@@ -1,12 +1,14 @@
 """Spectral comparison against a plain time-division reference.
 
-For the same payloads two signals of identical length N are formed: the
+For the same payloads two signals of identical length are formed: the
 wavelet-multiplexed signal, and a reference built by simply concatenating
 the channels' sample blocks in declaration order (classic TDM framing).
-Because the coefficient frame is a permutation of the TDM samples and
-synthesis is orthonormal, the two signals always carry the same energy;
-their magnitude spectra, however, differ markedly and depend on the
-chosen wavelet.
+The reference is the TDM row the multiplexer itself starts from
+(:func:`tdm_reference` is :func:`wavemux.framing.tdm_row`), so over any
+number of frames the coefficient frames are a permutation of the TDM
+samples; synthesis is orthonormal, so the two signals always carry the
+same energy. Their magnitude spectra, however, differ markedly and
+depend on the chosen wavelet.
 
 Reports use bin indices k = 0..N-1 with the unnormalized transform
 X[k] = sum_n x[n] exp(-2 pi i k n / N), so Parseval reads
@@ -20,8 +22,9 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .framing import TributaryPayload, mux, _index_payloads, _payload_samples
-from .rateplan import RatePlan, samples_per_frame, validate_plan
+from .framing import TributaryPayload, mux
+from .framing import tdm_row as tdm_reference
+from .rateplan import RatePlan
 from .wavelets import FilterPair
 
 __all__ = [
@@ -51,6 +54,16 @@ class SpectrumReport:
         if mag_tdm.shape != mag_mrdm.shape or mag_tdm.ndim != 1:
             raise ValueError("both spectra must be 1-D arrays of identical length")
 
+    @classmethod
+    def from_signals(cls, x_tdm: np.ndarray, x_mrdm: np.ndarray) -> "SpectrumReport":
+        """Spectra and energies of a TDM reference and its multiplexed line."""
+        return cls(
+            mag_tdm=dft_magnitude(x_tdm),
+            mag_mrdm=dft_magnitude(x_mrdm),
+            energy_tdm=float(np.dot(x_tdm, x_tdm)),
+            energy_mrdm=float(np.dot(x_mrdm, x_mrdm)),
+        )
+
     @property
     def length(self) -> int:
         return self.mag_tdm.size
@@ -59,22 +72,6 @@ class SpectrumReport:
         """Yield (k, |X_tdm[k]|, |X_mrdm[k]|) for k = 0..N-1."""
         for k in range(self.length):
             yield k, float(self.mag_tdm[k]), float(self.mag_mrdm[k])
-
-
-def tdm_reference(plan: RatePlan, payloads) -> np.ndarray:
-    """Concatenate the channels' sample blocks in declaration order.
-
-    Digital payloads are quantized with the plan's resolution, so the
-    reference is sample-for-sample comparable with the multiplexed
-    signal. Total length is exactly N.
-    """
-    validate_plan(plan)
-    by_id = _index_payloads(plan, payloads)
-    blocks = [
-        _payload_samples(by_id[ch.id], samples_per_frame(plan, ch), plan.resolution)
-        for ch in plan.channels
-    ]
-    return np.concatenate(blocks)
 
 
 def dft_magnitude(x: np.ndarray) -> np.ndarray:
@@ -88,23 +85,15 @@ def dft_magnitude(x: np.ndarray) -> np.ndarray:
 def compare_spectra(plan: RatePlan, system: FilterPair, payloads) -> SpectrumReport:
     """Build both signals for one frame and report their spectra and energies."""
     payloads = list(payloads)
-    x_mrdm = mux(plan, system, payloads).samples
-    x_tdm = tdm_reference(plan, payloads)
-    return SpectrumReport(
-        mag_tdm=dft_magnitude(x_tdm),
-        mag_mrdm=dft_magnitude(x_mrdm),
-        energy_tdm=float(np.dot(x_tdm, x_tdm)),
-        energy_mrdm=float(np.dot(x_mrdm, x_mrdm)),
-    )
+    return SpectrumReport.from_signals(tdm_reference(plan, payloads), mux(plan, system, payloads).samples)
 
 
 def random_payloads(plan: RatePlan, seed: int) -> list[TributaryPayload]:
     """One frame of uniform random digital payloads, reproducible by seed."""
-    validate_plan(plan)
     rng = np.random.default_rng(seed)
     out = []
-    for ch in plan.channels:
-        nbits = samples_per_frame(plan, ch) * plan.resolution
+    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+        nbits = (hi - lo) * plan.resolution
         bits = (rng.integers(0, 2, nbits) + 48).astype(np.uint8).tobytes().decode("ascii")
         out.append(TributaryPayload.from_bits(ch.id, bits))
     return out

@@ -130,6 +130,27 @@ def dense_synthesis_matrix(n: int, depth: int, g, h) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def slot_walk_coefficients(tree, samples_by_id, n: int) -> np.ndarray:
+    """One frame's coefficients in the dense-matrix column order, placed by
+    walking the allocation tree: a slot of decimation m and phase p owns
+    indices p, p + m, p + 2m, ... of its detail band, band by band from the
+    finest, and the leaf channel fills the approximation.
+    """
+    blocks = []
+    node, level = tree, 0
+    while hasattr(node, "child"):
+        level += 1
+        band = np.zeros(n >> level)
+        for slot in node.band:
+            band[np.arange(slot.phase, band.size, slot.decimation)] = samples_by_id[slot.channel_id]
+        blocks.append(band)
+        node = node.child
+    approx = np.zeros(n >> level)
+    approx[:] = samples_by_id[node.channel_id]
+    blocks.append(approx)
+    return np.concatenate(blocks)
+
+
 def flatten_frame(details, approx) -> np.ndarray:
     """Concatenate frame blocks in the dense-matrix column order."""
     return np.concatenate([np.asarray(d, dtype=float) for d in details] + [np.asarray(approx, dtype=float)])

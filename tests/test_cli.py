@@ -100,8 +100,11 @@ class TestPlanCommand:
                             + J3_PLAN["channels"][1:])),
             '{"N": 64, "J": 3,',
             b"\xff\xfe{}",
+            json.dumps(dict(J3_PLAN, B=True)),
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], id=None)]
+                            + J3_PLAN["channels"][1:])),
         ],
-        ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8"],
+        ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id"],
     )
     def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
         path = tmp_path / "plan.json"
@@ -393,6 +396,25 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--plan", plan_file, "--seed", "1", "--frames", "4",
                      "--out", str(out_csv)]) == 0
         assert len(out_csv.read_text().splitlines()) == 2 + 4 * 64
+
+    def test_multi_frame_bytes_equal_per_frame_library_calls(self, tmp_path, plan_file):
+        import io
+
+        from wavemux import (SpectrumReport, dft_magnitude, make_wavelet_system, mux, random_payloads,
+                             tdm_reference, write_report_csv)
+
+        plan, system, seed = load_plan(plan_file), make_wavelet_system("db4"), 31
+        frames = [random_payloads(plan, seed + k) for k in range(4)]
+        x_mrdm = np.concatenate([mux(plan, system, payloads).samples for payloads in frames])
+        x_tdm = np.concatenate([tdm_reference(plan, payloads) for payloads in frames])
+        report = SpectrumReport(dft_magnitude(x_tdm), dft_magnitude(x_mrdm),
+                                float(np.dot(x_tdm, x_tdm)), float(np.dot(x_mrdm, x_mrdm)))
+        expected = io.StringIO()
+        write_report_csv(report, expected, seed=seed, levels=plan.levels, wavelet="db4")
+        out_csv = tmp_path / "spec.csv"
+        assert main(["spectrum", "--plan", plan_file, "--wavelet", "db4", "--seed", str(seed),
+                     "--frames", "4", "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestRoundtripCommand:

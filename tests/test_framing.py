@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import wavemux.rateplan
 from wavemux import (
     BadLength,
     BadResolution,
@@ -17,7 +18,6 @@ from wavemux import (
     RatePlan,
     ShapeMismatch,
     TributaryPayload,
-    allocate_bands,
     assemble_frame,
     demux,
     dequantize_samples,
@@ -26,10 +26,12 @@ from wavemux import (
     make_wavelet_system,
     mux,
     quantize_words,
+    random_payloads,
+    tdm_row,
 )
 from wavemux.framing import _QUANTIZE_BLOCK
 from wavemux.mra import CoefficientFrame
-from oracles import quantizer_levels, random_scaling_filter
+from oracles import dense_synthesis_matrix, quantizer_levels, random_scaling_filter, slot_walk_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -131,28 +133,33 @@ class TestQuantizer:
         assert dequantize_samples(v + noise, b) == bits
 
 
+def assemble(plan, payloads):
+    return assemble_frame(plan.layout, tdm_row(plan, payloads))
+
+
+def channel_rows(plan, row):
+    return {ch.id: row[lo:hi] for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)}
+
+
 class TestAssembleFrame:
     def test_canonical_four_channel_layout(self, haar):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         a, b, c, d = 0.125, -0.375, 0.625, -0.875
         payloads = [
             TributaryPayload.from_samples(f"ch{i}", [v]) for i, v in enumerate((a, b, c, d))
         ]
-        frame = assemble_frame(plan, tree, payloads)
+        frame = assemble(plan, payloads)
         np.testing.assert_allclose(frame.details[0], [a, b])  # phases 0, 1
         np.testing.assert_allclose(frame.details[1], [c])
         np.testing.assert_allclose(frame.approx, [d])
 
     def test_leaf_channel_samples_copied_verbatim(self, haar):
         plan = make_plan(64, 3, [256000, 256000])
-        tree = allocate_bands(plan)
         rng = np.random.default_rng(3)
         fast = rng.uniform(-1, 1, 32)
         leaf = rng.uniform(-1, 1, 32)
-        frame = assemble_frame(
+        frame = assemble(
             plan,
-            tree,
             [
                 TributaryPayload.from_samples("ch0", fast),
                 TributaryPayload.from_samples("ch1", leaf),
@@ -164,73 +171,75 @@ class TestAssembleFrame:
 
     def test_short_payload_rejected(self):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         payloads = [TributaryPayload.from_samples(f"ch{i}", [0.0]) for i in range(3)]
         payloads.append(TributaryPayload.from_samples("ch3", [0.0, 0.0]))
         with pytest.raises(PayloadLengthMismatch):
-            assemble_frame(plan, tree, payloads)
+            assemble(plan, payloads)
 
     def test_missing_and_duplicate_payloads(self):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         short = [TributaryPayload.from_samples(f"ch{i}", [0.0]) for i in range(3)]
         with pytest.raises(MissingChannel):
-            assemble_frame(plan, tree, short)
+            assemble(plan, short)
         doubled = short + [
             TributaryPayload.from_samples("ch2", [0.0]),
             TributaryPayload.from_samples("ch3", [0.0]),
         ]
         with pytest.raises(DuplicateChannel):
-            assemble_frame(plan, tree, doubled)
+            assemble(plan, doubled)
 
     def test_digital_payloads_quantized_in_place(self):
         plan = four_channel_plan(b=2)
-        tree = allocate_bands(plan)
         payloads = [TributaryPayload.from_bits(f"ch{i}", bits) for i, bits in
                     enumerate(("00", "01", "10", "11"))]
-        frame = assemble_frame(plan, tree, payloads)
+        frame = assemble(plan, payloads)
         np.testing.assert_allclose(frame.details[0], [-0.75, -0.25])
         np.testing.assert_allclose(frame.details[1], [0.25])
         np.testing.assert_allclose(frame.approx, [0.75])
+
+    def test_samples_must_be_one_dimensional(self, haar):
+        # a (1, 1) array holds the right number of samples but is not a sample block
+        plan = four_channel_plan()
+        payloads = [TributaryPayload.from_samples("ch0", [[0.0]])]
+        payloads += [TributaryPayload.from_samples(f"ch{i}", [0.0]) for i in range(1, 4)]
+        with pytest.raises(PayloadLengthMismatch):
+            assemble(plan, payloads)
+        with pytest.raises(PayloadLengthMismatch):
+            mux(plan, haar, payloads)
 
 
 class TestDisassembleFrame:
     def test_inverse_of_assemble(self):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         values = (0.1, 0.2, 0.3, 0.4)
         payloads = [TributaryPayload.from_samples(f"ch{i}", [v]) for i, v in enumerate(values)]
-        out = disassemble_frame(assemble_frame(plan, tree, payloads), tree)
-        assert [(p.id, p.samples.tolist()) for p in out] == [
+        row = disassemble_frame(assemble(plan, payloads), plan.layout)
+        assert [(cid, r.tolist()) for cid, r in channel_rows(plan, row).items()] == [
             (f"ch{i}", [v]) for i, v in enumerate(values)
         ]
 
     def test_phase_slot_reads_interleaved_indices(self):
         plan = make_plan(64, 3, [256000, 64000, 64000, 64000, 64000])
-        tree = allocate_bands(plan)
-        frame = assemble_frame(
+        frame = assemble(
             plan,
-            tree,
             [TributaryPayload.from_samples("ch0", np.arange(32.0) / 32.0)]
             + [TributaryPayload.from_samples(f"ch{i}", np.full(8, i / 8.0)) for i in (1, 2, 3, 4)],
         )
         # ch2 sits at band-2 decimation 2 phase 1: indices 1, 3, 5, ...
         np.testing.assert_array_equal(frame.details[1][1::2], np.full(8, 2 / 8.0))
-        recovered = {p.id: p.samples for p in disassemble_frame(frame, tree)}
+        recovered = channel_rows(plan, disassemble_frame(frame, plan.layout))
         np.testing.assert_array_equal(recovered["ch2"], np.full(8, 2 / 8.0))
 
     def test_zero_frame_gives_zero_payloads(self):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         frame = CoefficientFrame((np.zeros(2), np.zeros(1)), np.zeros(1))
-        assert all(not p.samples.any() for p in disassemble_frame(frame, tree))
+        assert not disassemble_frame(frame, plan.layout).any()
 
     def test_depth_mismatch_rejected(self):
         plan = four_channel_plan()
-        tree = allocate_bands(plan)
         frame = CoefficientFrame((np.zeros(2),), np.zeros(2))  # depth 1, tree wants 2
         with pytest.raises(ShapeMismatch):
-            disassemble_frame(frame, tree)
+            disassemble_frame(frame, plan.layout)
 
 
 class TestMux:
@@ -385,3 +394,50 @@ def test_payload_requires_exactly_one_mode():
         TributaryPayload(id="x")
     with pytest.raises(ValueError):
         TributaryPayload(id="x", bits="01", samples=np.zeros(1))
+
+
+class TestFrameLayout:
+    def test_every_composition_against_slot_walk_oracle(self):
+        # all 249 compositions for J = 1..5 at N = 2^(J+1), under haar, db4 and a random lattice wavelet
+        rng = np.random.default_rng(4)
+        systems = [make_wavelet_system("haar"), make_wavelet_system("db4"),
+                   make_wavelet_system(random_scaling_filter(rng, 3), name="lattice6")]
+        matrices = {}
+        swept = 0
+        for j in range(1, 6):
+            n = 1 << (j + 1)
+            for comp in enumerate_compositions(j):
+                rates = [64000 << (j - tier) for tier, count in enumerate(comp, start=1) for _ in range(count)]
+                plan = make_plan(n, j, rates)
+                layout = plan.layout
+                assert np.array_equal(np.sort(layout.index), np.arange(n))
+                samples = {ch.id: rng.uniform(-1, 1, hi - lo) for ch, (lo, hi) in zip(plan.channels, layout.bounds)}
+                flat = slot_walk_coefficients(layout.tree, samples, n)
+                sent = [TributaryPayload.from_samples(cid, v) for cid, v in samples.items()]
+                bits = random_payloads(plan, swept)
+                for system in systems:
+                    key = (n, layout.depth, system.name)
+                    if key not in matrices:
+                        matrices[key] = dense_synthesis_matrix(n, layout.depth, system.g, system.h)
+                    line = mux(plan, system, sent)
+                    np.testing.assert_allclose(line.samples, matrices[key] @ flat, rtol=0, atol=1e-12)
+                    for want, got in zip(sent, demux(plan, system, line, digital=False)):
+                        assert got.id == want.id and np.all(np.abs(got.samples - want.samples) <= 1e-10)
+                    recovered = demux(plan, system, mux(plan, system, bits))
+                    assert [(p.id, p.bits) for p in recovered] == [(p.id, p.bits) for p in bits]
+                swept += 1
+        assert swept == 249
+
+    def test_plan_validated_once_across_calls(self, db4, monkeypatch):
+        validate = wavemux.rateplan.validate_plan
+        calls = []
+        monkeypatch.setattr(wavemux.rateplan, "validate_plan", lambda plan: calls.append(plan) or validate(plan))
+        plan = make_plan(64, 3, [256000, 128000, 64000, 64000])
+        payloads = [TributaryPayload.from_samples(ch.id, np.zeros(c)) for ch, c in zip(plan.channels, (32, 16, 8, 8))]
+        for _ in range(25):
+            demux(plan, db4, mux(plan, db4, payloads), digital=False)
+        assert len(calls) == 1
+
+    def test_index_is_read_only(self):
+        with pytest.raises(ValueError):
+            four_channel_plan().layout.index[0] = 1
