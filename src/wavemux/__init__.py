@@ -24,6 +24,7 @@ from .errors import (
     LengthMismatch,
     MalformedFrame,
     MissingChannel,
+    NonFiniteSample,
     NotOrthonormal,
     NotPowerOfTwoN,
     OddLength,

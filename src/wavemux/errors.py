@@ -104,6 +104,19 @@ class ShapeMismatch(DataError):
     """Signal or frame shape does not match the plan or allocation."""
 
 
+class NonFiniteSample(DataError):
+    """A sample payload holds NaN or an infinity, which synthesis would
+    spread over every channel of its frame.
+
+    ``channel`` is the id of the channel that holds the first such
+    sample, frames taken in line order and channels in declaration order.
+    """
+
+    def __init__(self, message: str, channel: str) -> None:
+        super().__init__(message)
+        self.channel = channel
+
+
 class OffGrid(WavemuxError):
     """A recovered sample lies farther than the guard band from every
     quantizer level, indicating corrupted input or a wrong resolution.

@@ -11,7 +11,18 @@ run the chains over a ``(frames, N)`` array and hold the only frame
 loops. :func:`mux` and :func:`demux` run the same chain on one frame of
 payload objects (:func:`tdm_row` turns them into a row) without stacking
 it: at N = 2^18 the two extra full-length arrays, fresh memory on every
-call, cost about a third of the single-frame throughput.
+call, cost about a third of the single-frame throughput. Both transmit
+chains reject a row holding NaN or an infinity (NonFiniteSample), which
+synthesis would otherwise spread over every channel of the frame.
+
+The codec runs once per frame, not once per channel: :func:`tdm_row`
+joins the digital payloads' bits into one :func:`quantize_words` call,
+and :func:`demux` decodes the whole row in one :func:`dequantize_samples`
+call and slices each channel's bits out of the result. On small frames
+each codec call is mostly fixed NumPy overhead. Errors are those of a
+channel-by-channel pass: when the joined call fails, the channels are
+checked again one by one in declaration order, so the first bad channel
+raises its own error.
 
 Binary words map to amplitudes by the offset-binary midrise rule
 
@@ -43,6 +54,7 @@ from .errors import (
     BadResolution,
     DuplicateChannel,
     MissingChannel,
+    NonFiniteSample,
     OffGrid,
     PayloadLengthMismatch,
     ShapeMismatch,
@@ -203,14 +215,15 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
 
 # --------------------------------------------------------------- frame build
 
-def _payload_samples(payload: TributaryPayload, expected: int, resolution: int) -> np.ndarray:
+def _checked(payload: TributaryPayload, expected: int, resolution: int) -> str | np.ndarray:
+    """The payload's bits or samples, once their length fits ``expected`` samples."""
     if payload.is_digital:
         if len(payload.bits) != expected * resolution:
             raise PayloadLengthMismatch(
                 f"channel {payload.id!r}: {len(payload.bits)} bits, expected"
                 f" {expected} samples * {resolution} bits"
             )
-        return quantize_words(payload.bits, resolution)
+        return payload.bits
     if payload.samples.ndim != 1 or payload.samples.size != expected:
         raise PayloadLengthMismatch(
             f"channel {payload.id!r}: samples of shape {payload.samples.shape}, expected ({expected},)"
@@ -238,14 +251,58 @@ def tdm_row(plan: RatePlan, payloads) -> np.ndarray:
     """One frame of payloads as its TDM row: the channels' samples in declaration order.
 
     Digital payloads are quantized with the plan's resolution, so the row
-    holds exactly the N values that become the frame's coefficients.
+    holds exactly the N values that become the frame's coefficients. The
+    digital payloads' bits are joined and quantized in one call.
     """
     bounds = plan.layout.bounds
     by_id = _index_payloads(plan, payloads)
-    return np.concatenate([
-        _payload_samples(by_id[ch.id], hi - lo, plan.resolution)
-        for ch, (lo, hi) in zip(plan.channels, bounds)
-    ])
+    ordered = [by_id[ch.id] for ch in plan.channels]
+    row = np.empty(plan.blocklength)
+    try:
+        words, slots = [], []
+        for payload, (lo, hi) in zip(ordered, bounds):
+            content = _checked(payload, hi - lo, plan.resolution)
+            if payload.is_digital:
+                words.append(content)
+                slots.append((lo, hi))
+            else:
+                row[lo:hi] = content
+        if words:
+            samples = quantize_words("".join(words), plan.resolution)
+            start = 0
+            for lo, hi in slots:
+                row[lo:hi] = samples[start : start + hi - lo]
+                start += hi - lo
+    except (BadLength, BadResolution, PayloadLengthMismatch):
+        # the joined call cannot tell whose word was bad: check channel by
+        # channel, so that the first bad one in declaration order raises
+        for payload, (lo, hi) in zip(ordered, bounds):
+            content = _checked(payload, hi - lo, plan.resolution)
+            if payload.is_digital:
+                quantize_words(content, plan.resolution)
+        raise
+    return row
+
+
+def _finite(plan: RatePlan, tdm: np.ndarray) -> np.ndarray:
+    """``tdm``, one TDM row or a ``(frames, N)`` array of them, once it holds no NaN or infinity.
+
+    Synthesis would spread such a sample over its whole frame, and so over
+    every channel at the receiver. NonFiniteSample names the channel of
+    the first one.
+    """
+    finite = np.isfinite(tdm)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        frame, k = divmod(first, plan.blocklength)
+        for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+            if lo <= k < hi:
+                raise NonFiniteSample(
+                    f"channel {ch.id!r}, frame {frame}: sample {k - lo} is {tdm.reshape(-1)[first]};"
+                    " samples must be finite",
+                    channel=ch.id,
+                )
+    return tdm
 
 
 def assemble_frame(layout: FrameLayout, row: np.ndarray) -> CoefficientFrame:
@@ -275,7 +332,7 @@ def mux_frames(plan: RatePlan, system: FilterPair, tdm) -> np.ndarray:
     tdm = np.asarray(tdm, dtype=float)
     if tdm.ndim != 2 or len(tdm) < 1 or tdm.shape[1] != plan.blocklength:
         raise ShapeMismatch(f"TDM array of shape {tdm.shape}, plan expects (frames >= 1, {plan.blocklength})")
-    return np.concatenate([synthesize(assemble_frame(layout, row), system) for row in tdm])
+    return np.concatenate([synthesize(assemble_frame(layout, row), system) for row in _finite(plan, tdm)])
 
 
 def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
@@ -296,7 +353,8 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     """Multiplex one frame of payloads into a length-N signal."""
     layout = plan.layout
-    return MuxedSignal(synthesize(assemble_frame(layout, tdm_row(plan, payloads)), system), layout.digest)
+    frame = assemble_frame(layout, _finite(plan, tdm_row(plan, payloads)))
+    return MuxedSignal(synthesize(frame, system), layout.digest)
 
 
 def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -> list[TributaryPayload]:
@@ -316,13 +374,20 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 
     row = disassemble_frame(analyze(x, layout.depth, system), layout)
-    out = []
-    for ch, (lo, hi) in zip(plan.channels, layout.bounds):
-        if not digital:
-            out.append(TributaryPayload.from_samples(ch.id, row[lo:hi]))
-            continue
-        try:
-            out.append(TributaryPayload.from_bits(ch.id, dequantize_samples(row[lo:hi], plan.resolution)))
-        except OffGrid as exc:
-            raise OffGrid(f"channel {ch.id!r}: {exc}", index=exc.index) from exc
-    return out
+    channels = list(zip(plan.channels, layout.bounds))
+    if not digital:
+        return [TributaryPayload.from_samples(ch.id, row[lo:hi]) for ch, (lo, hi) in channels]
+    b = plan.resolution
+    try:
+        bits = dequantize_samples(row, b)
+    except OffGrid as exc:
+        # the row's first off-grid sample lies in the first bad channel; decoding
+        # that channel alone reports its own count and index
+        for ch, (lo, hi) in channels:
+            if exc.index < hi:
+                try:
+                    _dequantize_bits(row[lo:hi], b)
+                except OffGrid as inner:
+                    raise OffGrid(f"channel {ch.id!r}: {inner}", index=inner.index) from inner
+        raise
+    return [TributaryPayload.from_bits(ch.id, bits[lo * b : hi * b]) for ch, (lo, hi) in channels]

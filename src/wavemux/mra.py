@@ -27,6 +27,13 @@ Each direction costs L * M/2 multiply-adds per filter per level; the
 level lengths halve, so a whole cascade costs under L * N per filter,
 linear in the frame length N.
 
+The pair lives in two private kernels on bare float64 arrays,
+``_analyze`` and ``_synthesize``; :func:`analyze` and :func:`synthesize`
+run them level by level, and :func:`analyze_level` and
+:func:`synthesize_level` are validating wrappers over them. Each kernel
+forms every tap's product in one scratch buffer per level rather than in
+a fresh temporary, and sums in the same order as the formulas above.
+
 Level numbering is finest-first: level 1 holds the longest detail array
 (length N/2), level ``depth`` the shortest, and the approximation array
 lives at level ``depth`` as well.
@@ -122,25 +129,52 @@ class CoefficientFrame:
         return float(sum(np.dot(d, d) for d in self.details) + np.dot(self.approx, self.approx))
 
 
-def analyze_level(x: np.ndarray, pair: FilterPair) -> LevelPair:
-    """Split a signal of even length M into M/2 approximation and detail
-    coefficients by periodic correlation with g and h."""
-    x = np.asarray(x, dtype=float)
+def _analyze(x: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis step on a float64 array of even length M >= 2: (approx, detail)."""
     M = x.size
-    if x.ndim != 1 or M < 2 or M % 2:
-        raise OddLength(f"signal length must be even and >= 2, got {M}")
-    g, h = pair.g, pair.h
     xe = np.empty(M + g.size - 2)
     for start in range(0, xe.size, M):  # xe[i] = x[i mod M], x repeated when L > M
         chunk = xe[start : start + M]
         chunk[:] = x[: chunk.size]
-    approx = np.zeros(M // 2)
-    detail = np.zeros(M // 2)
+    window = xe[0:M:2]  # window[k] = x[(2k + n) mod M] for tap n = 0
+    approx = g[0] * window
+    detail = h[0] * window
+    tmp = np.empty(M // 2)  # every further tap's product, one tap at a time
+    for n in range(1, g.size):
+        window = xe[n : n + M : 2]
+        approx += np.multiply(window, g[n], out=tmp)
+        detail += np.multiply(window, h[n], out=tmp)
+    return approx, detail
+
+
+def _synthesize(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One synthesis step from equal-length float64 arrays: the signal of twice their length."""
+    M = 2 * approx.size
+    ye = np.zeros(M + g.size - 2)
+    tap = np.empty(approx.size)
+    tmp = np.empty(approx.size)
     for n in range(g.size):
-        window = xe[n : n + M : 2]  # window[k] = x[(2k + n) mod M]
-        approx += g[n] * window
-        detail += h[n] * window
-    return LevelPair(approx, detail)
+        np.multiply(approx, g[n], out=tap)
+        tap += np.multiply(detail, h[n], out=tmp)
+        ye[n : n + M : 2] += tap
+    y = ye[:M]
+    for start in range(M, ye.size, M):  # fold the tail back onto the circle
+        tail = ye[start : start + M]
+        y[: tail.size] += tail
+    return y
+
+
+def _check_signal(x: np.ndarray) -> None:
+    if x.ndim != 1 or x.size < 2 or x.size % 2:
+        raise OddLength(f"signal length must be even and >= 2, got {x.size}")
+
+
+def analyze_level(x: np.ndarray, pair: FilterPair) -> LevelPair:
+    """Split a signal of even length M into M/2 approximation and detail
+    coefficients by periodic correlation with g and h."""
+    x = np.asarray(x, dtype=float)
+    _check_signal(x)
+    return LevelPair(*_analyze(x, pair.g, pair.h))
 
 
 def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
@@ -150,15 +184,7 @@ def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
     orthonormal pairs: coefficient k scatters tap n onto index
     (2k + n) mod M.
     """
-    M = 2 * lp.approx.size
-    ye = np.zeros(M + pair.g.size - 2)
-    for n in range(pair.g.size):
-        ye[n : n + M : 2] += pair.g[n] * lp.approx + pair.h[n] * lp.detail
-    y = ye[:M]
-    for start in range(M, ye.size, M):  # fold the tail back onto the circle
-        tail = ye[start : start + M]
-        y[: tail.size] += tail
-    return y
+    return _synthesize(lp.approx, lp.detail, pair.g, pair.h)
 
 
 def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:
@@ -171,12 +197,12 @@ def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:
         raise BadDepth(f"depth must be >= 1, got {depth}")
     if x.ndim != 1 or x.size % (1 << depth):
         raise BadDepth(f"signal length {x.size} is not divisible by 2^{depth}")
+    _check_signal(x)  # so every level down to depth has an even length >= 2
     details: list[np.ndarray] = []
     cur = x
     for _ in range(depth):
-        lp = analyze_level(cur, pair)
-        details.append(lp.detail)
-        cur = lp.approx
+        cur, detail = _analyze(cur, pair.g, pair.h)
+        details.append(detail)
     return CoefficientFrame(tuple(details), cur)
 
 
@@ -188,5 +214,5 @@ def synthesize(frame: CoefficientFrame, pair: FilterPair) -> np.ndarray:
     """
     cur = frame.approx
     for detail in reversed(frame.details):
-        cur = synthesize_level(LevelPair(cur, detail), pair)
+        cur = _synthesize(cur, detail, pair.g, pair.h)
     return cur

@@ -280,6 +280,24 @@ class TestMuxDemuxCommands:
                     "--out", str(tmp_path / "sig.csv")]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("fmt, bad", [("raw", np.inf), ("csv", np.nan)])
+    def test_non_finite_samples_payload_exits_3(self, tmp_path, plan_file, capsys, fmt, bad):
+        directory = tmp_path / "payloads"
+        directory.mkdir()
+        for cid, cnt in {"alpha": 32, "bravo": 16, "charlie": 16}.items():
+            values = np.full(2 * cnt, 0.5)  # two frames
+            if cid == "bravo":
+                values[cnt + 3] = bad
+            if fmt == "raw":
+                (directory / f"{cid}.samples").write_bytes(values.astype("<f8").tobytes())
+            else:
+                (directory / f"{cid}.samples").write_text("".join(f"{v}\n" for v in values))
+        capsys.readouterr()
+        assert main(["mux", str(directory), "--plan", plan_file, "--format", fmt,
+                     "--out", str(tmp_path / "sig")]) == 3
+        assert "NonFiniteSample: channel 'bravo', frame 1: sample 3 is " in capsys.readouterr().err
+        assert not (tmp_path / "sig").exists()
+
     def test_mux_line_equals_library_mux_frame_by_frame(self, tmp_path, plan_file):
         from wavemux import TributaryPayload, load_plan, make_wavelet_system, mux
 

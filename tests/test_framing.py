@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import wavemux.framing
 import wavemux.rateplan
 from wavemux import (
     BadLength,
@@ -19,12 +20,14 @@ from wavemux import (
     ShapeMismatch,
     TributaryPayload,
     assemble_frame,
+    NonFiniteSample,
     demux,
     dequantize_samples,
     disassemble_frame,
     enumerate_compositions,
     make_wavelet_system,
     mux,
+    mux_frames,
     quantize_words,
     random_payloads,
     tdm_row,
@@ -46,6 +49,10 @@ def db4():
 
 def make_plan(n, j, rates, r=64000, b=8):
     return RatePlan(n, j, r, b, tuple(Channel(f"ch{i}", rate) for i, rate in enumerate(rates)))
+
+
+def random_bits(rng, count):
+    return "".join(map(str, rng.integers(0, 2, count)))
 
 
 def four_channel_plan(b=8):
@@ -356,6 +363,20 @@ class TestDemux:
         with pytest.raises(OffGrid):
             demux(plan, db4, MuxedSignal(samples, line.plan_digest))
 
+    def test_off_grid_error_names_first_bad_channel(self, db4):
+        # ch2's samples 3 and 5 and ch4's sample 0 lie between levels; the error is ch2's alone
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        rng = np.random.default_rng(57)
+        rows = {ch.id: quantize_words(random_bits(rng, (hi - lo) * 8), 8)
+                for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)}
+        rows["ch2"][[3, 5]] = 0.1, -0.1
+        rows["ch4"][0] = 0.1
+        line = mux(plan, db4, [TributaryPayload.from_samples(cid, v) for cid, v in rows.items()])
+        with pytest.raises(OffGrid) as info:
+            demux(plan, db4, line)
+        assert str(info.value) == "channel 'ch2': 2 of 8 samples off-grid at B=8; first at index 3: value 0.1"
+        assert info.value.index == 3
+
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_digital_round_trip_every_composition(self, wavelet, j):
@@ -441,3 +462,75 @@ class TestFrameLayout:
     def test_index_is_read_only(self):
         with pytest.raises(ValueError):
             four_channel_plan().layout.index[0] = 1
+
+
+class TestFrameCodec:
+    def test_mixed_digital_and_sample_payloads_round_trip(self, db4):
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        rng = np.random.default_rng(58)
+        payloads = []
+        for k, (ch, (lo, hi)) in enumerate(zip(plan.channels, plan.layout.bounds)):
+            if k % 2:
+                payloads.append(TributaryPayload.from_samples(ch.id, rng.uniform(-1, 1, hi - lo)))
+            else:
+                payloads.append(TributaryPayload.from_bits(ch.id, random_bits(rng, (hi - lo) * 8)))
+        for sent, got in zip(payloads, demux(plan, db4, mux(plan, db4, payloads), digital=False)):
+            assert got.id == sent.id
+            if sent.is_digital:
+                assert dequantize_samples(got.samples, 8) == sent.bits
+            else:
+                np.testing.assert_allclose(got.samples, sent.samples, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("first, second, error, message", [
+        ("2" * 8 + "0" * 56, "0" * 63, BadLength, "bit strings may contain only '0' and '1'"),
+        ("0" * 63, "2" * 8 + "0" * 56, PayloadLengthMismatch, "channel 'ch1': 63 bits, expected 8 samples * 8 bits"),
+        (np.zeros(9), "2" * 64, PayloadLengthMismatch, "channel 'ch1': samples of shape (9,), expected (8,)"),
+    ])
+    def test_first_bad_channel_in_declaration_order_wins(self, first, second, error, message):
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        payloads = [TributaryPayload.from_bits("ch0", "0" * 256)]
+        for cid, content in (("ch1", first), ("ch2", second)):
+            if isinstance(content, str):
+                payloads.append(TributaryPayload.from_bits(cid, content))
+            else:
+                payloads.append(TributaryPayload.from_samples(cid, content))
+        payloads += [TributaryPayload.from_bits(cid, "0" * 64) for cid in ("ch3", "ch4")]
+        with pytest.raises(error) as info:
+            tdm_row(plan, payloads)
+        assert str(info.value) == message
+
+    def test_one_codec_call_per_frame(self, db4, monkeypatch):
+        calls = {"quantize": 0, "dequantize": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(wavemux.framing, "quantize_words", counted("quantize", wavemux.framing.quantize_words))
+        monkeypatch.setattr(wavemux.framing, "dequantize_samples",
+                            counted("dequantize", wavemux.framing.dequantize_samples))
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        for seed in range(50):
+            payloads = random_payloads(plan, seed)
+            recovered = demux(plan, db4, mux(plan, db4, payloads))
+            assert [p.bits for p in recovered] == [p.bits for p in payloads]
+        assert calls == {"quantize": 50, "dequantize": 50}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_payload_rejected(self, db4, bad):
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        samples = {ch.id: np.zeros(hi - lo) for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)}
+        samples["ch2"][4] = bad
+        payloads = [TributaryPayload.from_samples(cid, v) for cid, v in samples.items()]
+        with pytest.raises(NonFiniteSample) as info:
+            mux(plan, db4, payloads)
+        assert info.value.channel == "ch2"
+        assert "channel 'ch2'" in str(info.value)
+        tdm = np.zeros((3, 64))
+        tdm[1, 60] = bad
+        with pytest.raises(NonFiniteSample) as info:
+            mux_frames(plan, db4, tdm)
+        assert info.value.channel == "ch4"
+        assert str(info.value).startswith("channel 'ch4', frame 1: ")
