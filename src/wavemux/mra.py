@@ -28,11 +28,24 @@ level lengths halve, so a whole cascade costs under L * N per filter,
 linear in the frame length N.
 
 The pair lives in two private kernels on bare float64 arrays,
-``_analyze`` and ``_synthesize``; :func:`analyze` and :func:`synthesize`
-run them level by level, and :func:`analyze_level` and
-:func:`synthesize_level` are validating wrappers over them. Each kernel
-forms every tap's product in one scratch buffer per level rather than in
-a fresh temporary, and sums in the same order as the formulas above.
+``_analyze`` and ``_synthesize``. They index the last axis only
+(``x[..., n : n + M : 2]``), so one pair transforms a single frame (M,)
+and a block of frames (frames, M) alike. Each kernel forms every tap's
+product in scratch it is handed rather than in a fresh temporary, and
+sums in the same order as the formulas above.
+
+The cascades keep a frame's coefficients in one flat (..., N) buffer:
+the detail arrays finest first, then the approximation (Mallat's
+layout, which ``FrameLayout.index`` addresses). ``_analyze_flat`` writes
+each level's outputs straight into their slices of that buffer, and
+``_synthesize_levels`` runs synthesis back up from views of it. Their
+scratch comes from ``_scratch``: from 128 KiB up, memory each thread
+keeps per role and reuses call after call, so transforming frame after
+frame of one large size allocates only the synthesized signal. :func:`analyze`,
+:func:`synthesize`, :func:`analyze_level` and :func:`synthesize_level`
+wrap the cascades for callers that want a :class:`CoefficientFrame` or
+a :class:`LevelPair`; the frame path in ``framing`` calls them on its
+flat buffers directly.
 
 Level numbering is finest-first: level 1 holds the longest detail array
 (length N/2), level ``depth`` the shortest, and the approximation array
@@ -41,7 +54,9 @@ lives at level ``depth`` as well.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -129,39 +144,128 @@ class CoefficientFrame:
         return float(sum(np.dot(d, d) for d in self.details) + np.dot(self.approx, self.approx))
 
 
-def _analyze(x: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step on a float64 array of even length M >= 2: (approx, detail)."""
-    M = x.size
-    xe = np.empty(M + g.size - 2)
-    for start in range(0, xe.size, M):  # xe[i] = x[i mod M], x repeated when L > M
-        chunk = xe[start : start + M]
-        chunk[:] = x[: chunk.size]
-    window = xe[0:M:2]  # window[k] = x[(2k + n) mod M] for tap n = 0
-    approx = g[0] * window
-    detail = h[0] * window
-    tmp = np.empty(M // 2)  # every further tap's product, one tap at a time
-    for n in range(1, g.size):
-        window = xe[n : n + M : 2]
+def _analyze(x: np.ndarray, g: np.ndarray, h: np.ndarray, approx: np.ndarray, detail: np.ndarray,
+             xe: np.ndarray, tmp: np.ndarray) -> None:
+    """One analysis step along the last axis of float64 ``x`` (..., M), M even >= 2.
+
+    Writes the (..., M/2) approximation and detail into ``approx`` and
+    ``detail``. ``xe`` and ``tmp`` are scratch whose heads hold the
+    periodic extension (M + L - 2) and one tap's products (M/2). ``x`` is
+    read only while the extension is built, before either output is
+    written, so the outputs may overlap ``x``.
+    """
+    M = x.shape[-1]
+    xe = xe[..., : M + g.size - 2]
+    tmp = tmp[..., : M // 2]
+    for start in range(0, xe.shape[-1], M):  # xe[i] = x[i mod M], x repeated when L > M
+        chunk = xe[..., start : start + M]
+        chunk[...] = x[..., : chunk.shape[-1]]
+    window = xe[..., 0:M:2]  # window[k] = x[(2k + n) mod M] for tap n = 0
+    np.multiply(window, g[0], out=approx)
+    np.multiply(window, h[0], out=detail)
+    for n in range(1, g.size):  # every further tap's product goes through tmp
+        window = xe[..., n : n + M : 2]
         approx += np.multiply(window, g[n], out=tmp)
         detail += np.multiply(window, h[n], out=tmp)
-    return approx, detail
 
 
-def _synthesize(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One synthesis step from equal-length float64 arrays: the signal of twice their length."""
-    M = 2 * approx.size
-    ye = np.zeros(M + g.size - 2)
-    tap = np.empty(approx.size)
-    tmp = np.empty(approx.size)
+def _synthesize(approx: np.ndarray, detail: np.ndarray, g: np.ndarray, h: np.ndarray,
+                ye: np.ndarray, tap: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One synthesis step along the last axis of equal-shape float64 arrays.
+
+    Returns the (..., M) signal, M twice their length, as a view of the
+    head of ``ye``: scratch whose head holds the periodic extension
+    (M + L - 2). ``tap`` and ``tmp`` are scratch whose heads hold one
+    tap's products (M/2).
+    """
+    half = approx.shape[-1]
+    M = 2 * half
+    ye = ye[..., : M + g.size - 2]
+    tap = tap[..., :half]
+    tmp = tmp[..., :half]
+    ye[...] = 0.0
     for n in range(g.size):
         np.multiply(approx, g[n], out=tap)
         tap += np.multiply(detail, h[n], out=tmp)
-        ye[n : n + M : 2] += tap
-    y = ye[:M]
-    for start in range(M, ye.size, M):  # fold the tail back onto the circle
-        tail = ye[start : start + M]
-        y[: tail.size] += tail
+        ye[..., n : n + M : 2] += tap
+    y = ye[..., :M]
+    for start in range(M, ye.shape[-1], M):  # fold the tail back onto the circle
+        tail = ye[..., start : start + M]
+        y[..., : tail.shape[-1]] += tail
     return y
+
+
+_SCRATCH = threading.local()
+#: Smallest scratch request, in float64 elements (128 KiB), that ``_scratch``
+#: serves from reused memory. Below it a fresh array is cheaper than the
+#: lookup, and small blocks stay on the allocator's heap anyway.
+_REUSED_FROM = 1 << 14
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` to use as scratch for ``role``.
+
+    Frames of one size are transformed over and over. Fresh multi-MB
+    temporaries would cost page faults on every call whenever the
+    allocator hands their pages back to the system between calls, so
+    large requests get memory this thread keeps per role and reuses: the
+    array is valid until this thread next asks for ``role``, and the
+    memory kept is that of the largest request per role. The contents
+    are undefined either way.
+    """
+    size = prod(shape)
+    if size < _REUSED_FROM:
+        return np.empty(shape)
+    buf = _SCRATCH.__dict__.get(role)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.__dict__[role] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _split(flat: np.ndarray, depth: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Views of a flat (..., N) coefficient buffer: (details finest first, approximation)."""
+    n = flat.shape[-1]
+    details = tuple([flat[..., n - 2 * (n >> level) : n - (n >> level)] for level in range(1, depth + 1)])
+    return details, flat[..., n - (n >> depth) :]
+
+
+def _analyze_flat(x: np.ndarray, depth: int, g: np.ndarray, h: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Run ``depth`` analysis steps along the last axis of ``x`` (..., N) into ``flat``.
+
+    ``flat`` ends up holding the detail arrays finest first, then the
+    approximation. Each level writes its approximation into the tail of
+    ``flat`` that the next level splits in place, and every level works in
+    the same two scratch arrays.
+    """
+    n = x.shape[-1]
+    xe = _scratch("extension", x.shape[:-1] + (n + g.size - 2,))
+    tmp = _scratch("products", x.shape[:-1] + (n // 2,))
+    cur = x
+    for level in range(1, depth + 1):
+        half = n >> level
+        approx = flat[..., n - half :]
+        _analyze(cur, g, h, approx, flat[..., n - 2 * half : n - half], xe, tmp)
+        cur = approx
+    return flat
+
+
+def _synthesize_levels(details, approx: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Run synthesis from the deepest level outward: the (..., N) signal.
+
+    ``details`` lists the detail arrays finest first, as :func:`_split`
+    returns them; the inverse of :func:`_analyze_flat`. The levels write
+    their outputs into two extension arrays in turn, each reading the
+    other's: odd levels into the array allocated here, which level 1
+    leaves holding the result, even levels into scratch.
+    """
+    half = details[0].shape[-1]
+    lead = approx.shape[:-1]
+    extensions = (np.empty(lead + (2 * half + g.size - 2,)), _scratch("extension", lead + (half + g.size - 2,)))
+    tap, tmp = _scratch("taps", lead + (half,)), _scratch("products", lead + (half,))
+    cur = approx
+    for level in range(len(details), 0, -1):
+        cur = _synthesize(cur, details[level - 1], g, h, extensions[(level - 1) % 2], tap, tmp)
+    return cur
 
 
 def _check_signal(x: np.ndarray) -> None:
@@ -174,7 +278,8 @@ def analyze_level(x: np.ndarray, pair: FilterPair) -> LevelPair:
     coefficients by periodic correlation with g and h."""
     x = np.asarray(x, dtype=float)
     _check_signal(x)
-    return LevelPair(*_analyze(x, pair.g, pair.h))
+    flat = _analyze_flat(x, 1, pair.g, pair.h, np.empty(x.size))
+    return LevelPair(flat[x.size // 2 :], flat[: x.size // 2])
 
 
 def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
@@ -184,7 +289,7 @@ def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
     orthonormal pairs: coefficient k scatters tap n onto index
     (2k + n) mod M.
     """
-    return _synthesize(lp.approx, lp.detail, pair.g, pair.h)
+    return _synthesize_levels((lp.detail,), lp.approx, pair.g, pair.h)
 
 
 def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:
@@ -198,12 +303,7 @@ def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:
     if x.ndim != 1 or x.size % (1 << depth):
         raise BadDepth(f"signal length {x.size} is not divisible by 2^{depth}")
     _check_signal(x)  # so every level down to depth has an even length >= 2
-    details: list[np.ndarray] = []
-    cur = x
-    for _ in range(depth):
-        cur, detail = _analyze(cur, pair.g, pair.h)
-        details.append(detail)
-    return CoefficientFrame(tuple(details), cur)
+    return CoefficientFrame(*_split(_analyze_flat(x, depth, pair.g, pair.h, np.empty(x.size)), depth))
 
 
 def synthesize(frame: CoefficientFrame, pair: FilterPair) -> np.ndarray:
@@ -212,7 +312,4 @@ def synthesize(frame: CoefficientFrame, pair: FilterPair) -> np.ndarray:
     Runs synthesis from the deepest node outward; inverts :func:`analyze`
     up to floating-point rounding for orthonormal pairs.
     """
-    cur = frame.approx
-    for detail in reversed(frame.details):
-        cur = _synthesize(cur, detail, pair.g, pair.h)
-    return cur
+    return _synthesize_levels(frame.details, frame.approx, pair.g, pair.h)

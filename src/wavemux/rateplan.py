@@ -155,18 +155,23 @@ def enumerate_compositions(levels: int, cap: int = DEFAULT_COMPOSITION_CAP) -> l
     if levels == 1:
         return [(2,)]  # a single tier: two basic-rate channels
     out: list[Composition] = []
-
-    def rec(j: int, remaining: int, prefix: Composition) -> None:
-        w = 1 << (levels - j)
-        if j == levels - 1:
-            # tier J has unit weight, so its count is whatever remains
-            out.extend([prefix + (cnt, remaining - cnt * w)
-                        for cnt in range(remaining // w, -1, -1)])
-            return
-        for cnt in range(remaining // w, -1, -1):
-            rec(j + 1, remaining - cnt * w, prefix + (cnt,))
-
-    rec(1, 1 << levels, ())
+    # tiers J-1 and J weigh 2 and 1, so n_{J-1} fixes n_J: per number of units
+    # left, every (n_{J-1}, n_J) pair is listed once, and each composition is
+    # one prefix + pair
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    # depth-first over prefixes (n_1 .. n_j) and the units they leave; each
+    # tier's counts are pushed ascending so that the largest pops first
+    stack: list[tuple[Composition, int]] = [((), 1 << levels)]
+    while stack:
+        prefix, remaining = stack.pop()
+        if len(prefix) == levels - 2:
+            tails = pairs.get(remaining)
+            if tails is None:
+                tails = pairs[remaining] = [(cnt, remaining - 2 * cnt) for cnt in range(remaining // 2, -1, -1)]
+            out.extend([prefix + tail for tail in tails])
+        else:
+            w = 1 << (levels - len(prefix) - 1)
+            stack.extend([(prefix + (cnt,), remaining - cnt * w) for cnt in range(remaining // w + 1)])
     return out
 
 

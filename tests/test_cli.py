@@ -222,6 +222,19 @@ class TestMuxDemuxCommands:
         assert main(["demux", str(sig), "--plan", plan_file,
                      "--out", str(tmp_path / "rx")]) == 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_csv_sample_exits_4_without_warnings(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, seed=0)
+        sig = tmp_path / "sig.csv"
+        common = ["--plan", plan_file, "--wavelet", "db4", "--format", "csv"]
+        assert main(["mux", str(payloads), *common, "--out", str(sig)]) == 0
+        lines = sig.read_text().splitlines()
+        lines[7] = "1e400"  # parses as inf; db4 analysis then meets inf - inf
+        sig.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["demux", str(sig), *common, "--out", str(tmp_path / "rx")]) == 4
+        assert capsys.readouterr().err.startswith("demux integrity failure: channel 'alpha', frame 0: ")
+
     @pytest.mark.parametrize("b", [25, 33])
     def test_resolution_above_24_exits_2(self, tmp_path, b):
         doc = dict(J3_PLAN, B=b)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from wavemux import (
     assemble_frame,
     NonFiniteSample,
     demux,
+    demux_frames,
     dequantize_samples,
     disassemble_frame,
     enumerate_compositions,
@@ -534,3 +538,78 @@ class TestFrameCodec:
             mux_frames(plan, db4, tdm)
         assert info.value.channel == "ch4"
         assert str(info.value).startswith("channel 'ch4', frame 1: ")
+
+
+def ladder_plan(n, j):
+    """One channel per detail level plus a basic-rate leaf: the deepest level is n >> j long."""
+    return make_plan(n, j, [64000 << (j - level) for level in range(1, j + 1)] + [64000])
+
+
+class TestFrameFunctions:
+    N = 1 << 14
+    BLOCK = max(1, wavemux.framing._BLOCK_SAMPLES // N)
+
+    @pytest.mark.parametrize("plan", [make_plan(N, 2, [64000] * 4), ladder_plan(N, 13)],
+                             ids=["equal-rate", "ladder"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db4", "lattice"])
+    def test_blocks_match_frame_by_frame_calls(self, plan, wavelet):
+        if wavelet == "lattice":
+            # L = 12: on the ladder plan the deepest level splits M = 4 samples
+            system = make_wavelet_system(random_scaling_filter(np.random.default_rng(61), 6))
+        else:
+            system = make_wavelet_system(wavelet)
+        rng = np.random.default_rng(62)
+        for frames in sorted({1, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 2 * self.BLOCK + 1} - {0}):
+            tdm = rng.uniform(-1, 1, (frames, self.N))
+            line = mux_frames(plan, system, tdm)
+            per_row = [mux(plan, system, [TributaryPayload.from_samples(ch.id, row[lo:hi])
+                                          for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)])
+                       for row in tdm]
+            assert line.tobytes() == np.concatenate([s.samples for s in per_row]).tobytes()
+            rows = demux_frames(plan, system, line)
+            per_frame = np.stack([np.concatenate([p.samples for p in demux(plan, system, frame, digital=False)])
+                                  for frame in line.reshape(frames, self.N)])
+            assert rows.shape == (frames, self.N)
+            assert rows.tobytes() == per_frame.tobytes()
+
+    def test_threads_keep_their_own_scratch(self, db4):
+        # the cascades reuse scratch memory per thread; NumPy releases the
+        # interpreter lock inside array operations, so threads interleave
+        plan = make_plan(1024, 3, [256000] + [64000] * 4)
+        rng = np.random.default_rng(63)
+        inputs = [rng.uniform(-1, 1, (70, 1024)) for _ in range(6)]
+        expected = [(mux_frames(plan, db4, tdm), tdm) for tdm in inputs]
+        failures = []
+
+        def worker(k):
+            for _ in range(5):
+                line, tdm = expected[k]
+                got = mux_frames(plan, db4, tdm)
+                back = demux_frames(plan, db4, got)
+                if got.tobytes() != line.tobytes() or np.max(np.abs(back - tdm)) > 1e-10:
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    @pytest.mark.parametrize("tdm", [np.zeros(64), np.zeros((0, 64)), np.zeros((2, 32))],
+                             ids=["1-D", "no frames", "wrong width"])
+    def test_mux_frames_shape_mismatch(self, db4, tdm):
+        with pytest.raises(ShapeMismatch):
+            mux_frames(make_plan(64, 3, [256000] + [64000] * 4), db4, tdm)
+
+    @pytest.mark.parametrize("line", [np.zeros((2, 64)), np.zeros(64 + 3), np.zeros(0)],
+                             ids=["2-D", "partial frame", "empty"])
+    def test_demux_frames_shape_mismatch(self, db4, line):
+        with pytest.raises(ShapeMismatch):
+            demux_frames(make_plan(64, 3, [256000] + [64000] * 4), db4, line)

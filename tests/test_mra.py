@@ -18,6 +18,7 @@ from wavemux import (
     synthesize,
     synthesize_level,
 )
+from wavemux.mra import _analyze, _synthesize
 from oracles import naive_analyze_level, naive_synthesize_level, random_scaling_filter
 
 SQRT2 = np.sqrt(2.0)
@@ -77,6 +78,20 @@ class TestKernelMatchesOracle:
         a, d = rng.standard_normal((2, m // 2))
         got = synthesize_level(LevelPair(a, d), pair)
         np.testing.assert_allclose(got, naive_synthesize_level(a, d, pair.g, pair.h), atol=1e-12)
+
+        # the same kernels on a (frames, M) block work along the last axis, row by row
+        xs = rng.standard_normal((2, m))
+        extension = np.empty((2, m + pair.g.size - 2))
+        approx, detail, tap, tmp = np.empty((4, 2, m // 2))
+        _analyze(xs, pair.g, pair.h, approx, detail, extension, tmp)
+        a2, d2 = rng.standard_normal((2, 2, m // 2))
+        ys = _synthesize(a2, d2, pair.g, pair.h, extension, tap, tmp)
+        assert ys.shape == (2, m)
+        for k in range(2):
+            a, d = naive_analyze_level(xs[k], pair.g, pair.h)
+            np.testing.assert_allclose(approx[k], a, atol=1e-12)
+            np.testing.assert_allclose(detail[k], d, atol=1e-12)
+            np.testing.assert_allclose(ys[k], naive_synthesize_level(a2[k], d2[k], pair.g, pair.h), atol=1e-12)
 
     @pytest.mark.parametrize("m", [8, 16, 18, 64, 16384, 32774])
     def test_db4(self, db4, m):
