@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, OffGrid
-from .framing import _dequantize_bits, _quantize_bits, demux, demux_frames, mux, mux_frames
+from .framing import _dequantize_bits, _finite, _quantize_bits, demux, demux_frames, mux, mux_frames
 from .rateplan import (
     RatePlan,
     aggregate_rate,
@@ -43,7 +43,14 @@ from .rateplan import (
 )
 # dft_magnitude is unused here, but perfbench/tracing.py wraps it in this module by name
 from .spectrum import SpectrumReport, dft_magnitude, random_payloads, tdm_reference, write_report_csv  # noqa: F401
-from .wavelets import FilterPair, format_coefficients_csv, make_wavelet_system, parse_coefficients_csv
+from .wavelets import (
+    FilterPair,
+    decimal_rows,
+    format_coefficients_csv,
+    make_wavelet_system,
+    parse_coefficients_csv,
+    parse_decimals,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +77,10 @@ def _load(args: argparse.Namespace) -> tuple[RatePlan, FilterPair]:
 def _resolve_wavelet(spec: str, verbose: bool = False) -> FilterPair:
     if spec.startswith("file:"):
         path = Path(spec[len("file:"):])
-        coeffs = parse_coefficients_csv(path.read_text(encoding="utf-8").strip())
+        try:
+            coeffs = parse_coefficients_csv(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # a non-numeric token, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: {exc}") from exc
         pair = make_wavelet_system(coeffs, name=path.stem)
     else:
         pair = make_wavelet_system(spec)
@@ -97,16 +107,15 @@ def _read_samples(path: Path, fmt: str) -> np.ndarray:
             raise DataError(f"{path}: {len(data)} bytes is not a whole number of 8-byte samples")
         return np.frombuffer(data, dtype="<f8").astype(float)
     try:
-        values = [float(f) for f in path.read_text(encoding="utf-8").replace(",", "\n").split()]
+        return parse_decimals(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # a non-numeric token, or bytes that are not UTF-8
         raise DataError(f"{path}: {exc}") from exc
-    return np.array(values)
 
 
 def _encode_samples(values: np.ndarray, fmt: str) -> bytes:
     if fmt == "raw":
         return np.asarray(values, dtype="<f8").tobytes()
-    return "".join(f"{float(v):.17g}\n" for v in values).encode("utf-8")
+    return "".join(decimal_rows([values])).encode("utf-8")
 
 
 # ------------------------------------------------------------------ commands
@@ -192,6 +201,8 @@ def cmd_mux(args: argparse.Namespace) -> int:
 def cmd_demux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
     tdm = demux_frames(plan, system, _read_samples(Path(args.signal), args.format))
+    if args.payload == "samples":
+        _finite(plan, tdm, recovered=True)  # the bit decoder's guard band already rejects a non-finite sample
     files: dict[str, bytes] = {}  # every channel is decoded before any file is written
     for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
         stream = tdm[:, lo:hi].reshape(-1)

@@ -24,7 +24,8 @@ full-length arrays, fresh memory on every call, cost about a third of
 the single-frame throughput, and at N = 64 a kernel call costs 30-45%
 more on a (1, M) array than on a 1-D one. Both transmit paths reject a
 row holding NaN or an infinity (NonFiniteSample), which synthesis would
-otherwise spread over every channel of the frame.
+otherwise spread over every channel of the frame; ``demux`` in sample
+mode rejects a recovered one (OffGrid), which only a corrupt line leaves.
 
 The codec runs once per frame, not once per channel: :func:`tdm_row`
 joins the digital payloads' bits into one :func:`quantize_words` call,
@@ -62,7 +63,6 @@ import numpy as np
 
 from .errors import (
     BadLength,
-    BadResolution,
     DuplicateChannel,
     MissingChannel,
     NonFiniteSample,
@@ -75,7 +75,7 @@ from .errors import (
 from .mra import CoefficientFrame, _analyze_flat, _scratch, _split, _synthesize_levels, analyze, synthesize  # noqa: F401
 # allocate_bands, plan_digest and validate_plan are unused here, but
 # perfbench/tracing.py wraps them in this module by name
-from .rateplan import FrameLayout, RatePlan, allocate_bands, plan_digest, validate_plan  # noqa: F401
+from .rateplan import FrameLayout, RatePlan, _check_resolution, allocate_bands, plan_digest, validate_plan  # noqa: F401
 from .wavelets import FilterPair
 
 __all__ = [
@@ -143,18 +143,13 @@ class MuxedSignal:
 _QUANTIZE_BLOCK = 1 << 14  # words per packbits pass: a padded block of at most 384 KB
 
 
-def _check_resolution(resolution: int) -> None:
-    if not 1 <= resolution <= 24:
-        raise BadResolution(f"resolution must be in 1..24 bits, got {resolution}")
-
-
 def _quantize_bits(bits: np.ndarray, resolution: int) -> np.ndarray:
     """Map a uint8 array of 0/1 bits, B per word, to samples in (-1, 1).
 
     The codec core behind :func:`quantize_words`; callers have checked
-    that every element is 0 or 1.
+    that every element is 0 or 1 and that the resolution is in 1..24
+    (a validated plan's B is).
     """
-    _check_resolution(resolution)
     if bits.size % resolution:
         raise BadLength(f"{bits.size} bits is not a multiple of {resolution}")
     # right-align each word in ceil(B/8) zero-padded bytes, so that one flat
@@ -184,9 +179,9 @@ def _dequantize_bits(values: np.ndarray, resolution: int) -> np.ndarray:
 
     The codec core behind :func:`dequantize_samples`. Raises OffGrid,
     with ``index`` set to the first offending sample, if any sample lies
-    farther than 2^-(B+1) from every legal level.
+    farther than 2^-(B+1) from every legal level. Callers have checked
+    the resolution, as for :func:`_quantize_bits`.
     """
-    _check_resolution(resolution)
     v = np.asarray(values, dtype=float)
     scale = 1 << resolution
     nearest = np.clip(np.rint((v * scale - 1.0 + scale) / 2.0), 0, scale - 1)
@@ -223,6 +218,7 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
     Raises OffGrid if any sample lies farther than 2^-(B+1) from every
     legal level.
     """
+    _check_resolution(resolution)
     return (_dequantize_bits(values, resolution) + 48).tobytes().decode("ascii")
 
 
@@ -286,7 +282,7 @@ def tdm_row(plan: RatePlan, payloads) -> np.ndarray:
             for lo, hi in slots:
                 row[lo:hi] = samples[start : start + hi - lo]
                 start += hi - lo
-    except (BadLength, BadResolution, PayloadLengthMismatch):
+    except (BadLength, PayloadLengthMismatch):
         # the joined call cannot tell whose word was bad: check channel by
         # channel, so that the first bad one in declaration order raises
         for payload, (lo, hi) in zip(ordered, bounds):
@@ -297,25 +293,34 @@ def tdm_row(plan: RatePlan, payloads) -> np.ndarray:
     return row
 
 
-def _finite(plan: RatePlan, tdm: np.ndarray) -> np.ndarray:
-    """``tdm``, one TDM row or a ``(frames, N)`` array of them, once it holds no NaN or infinity.
+def _locate(plan: RatePlan, position: int) -> tuple[int, int, int]:
+    """Where ``position`` in TDM rows read in order lies: (frame, channel
+    number, sample within that channel's part of the frame)."""
+    frame, k = divmod(position, plan.blocklength)
+    bounds = plan.layout.bounds
+    c = next(c for c, (lo, hi) in enumerate(bounds) if k < hi)
+    return frame, c, k - bounds[c][0]
 
-    Synthesis would spread such a sample over its whole frame, and so over
-    every channel at the receiver. NonFiniteSample names the channel of
-    the first one.
+
+def _finite(plan: RatePlan, rows: np.ndarray, *, recovered: bool = False) -> np.ndarray:
+    """``rows``, one TDM row or a ``(frames, N)`` array of them, once they hold no NaN or infinity.
+
+    On the way in, synthesis would spread such a sample over its whole
+    frame, and so over every channel at the receiver: NonFiniteSample
+    names the channel of the first one. In ``recovered`` rows only a
+    corrupt line leaves one, so OffGrid reports it as the decoder does for
+    digital channels, with ``index`` at its position in the rows read in
+    order.
     """
-    finite = np.isfinite(tdm)
+    finite = np.isfinite(rows)
     if not finite.all():
         first = int(np.argmin(finite))
-        frame, k = divmod(first, plan.blocklength)
-        for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
-            if lo <= k < hi:
-                raise NonFiniteSample(
-                    f"channel {ch.id!r}, frame {frame}: sample {k - lo} is {tdm.reshape(-1)[first]};"
-                    " samples must be finite",
-                    channel=ch.id,
-                )
-    return tdm
+        frame, c, k = _locate(plan, first)
+        where = f"channel {plan.channels[c].id!r}, frame {frame}: sample {k} is {rows.reshape(-1)[first]}"
+        if recovered:
+            raise OffGrid(f"{where}; recovered samples must be finite", index=first)
+        raise NonFiniteSample(f"{where}; samples must be finite", channel=plan.channels[c].id)
+    return rows
 
 
 def assemble_frame(layout: FrameLayout, row: np.ndarray) -> CoefficientFrame:
@@ -415,7 +420,9 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     """Recover every tributary from one multiplexed frame.
 
     With ``digital=True`` each channel is decoded back to bits (OffGrid
-    names the offending channel); otherwise sample payloads are returned.
+    names the offending channel); otherwise sample payloads are returned,
+    once every recovered sample is finite (OffGrid names the channel of
+    the first that is not).
     Payloads are listed in plan declaration order.
     """
     layout = plan.layout
@@ -430,6 +437,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     row = _analyze_rows(layout, system, x, layout.index)
     channels = list(zip(plan.channels, layout.bounds))
     if not digital:
+        _finite(plan, row, recovered=True)
         return [TributaryPayload.from_samples(ch.id, row[lo:hi]) for ch, (lo, hi) in channels]
     b = plan.resolution
     try:
@@ -437,11 +445,11 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     except OffGrid as exc:
         # the row's first off-grid sample lies in the first bad channel; decoding
         # that channel alone reports its own count and index
-        for ch, (lo, hi) in channels:
-            if exc.index < hi:
-                try:
-                    _dequantize_bits(row[lo:hi], b)
-                except OffGrid as inner:
-                    raise OffGrid(f"channel {ch.id!r}: {inner}", index=inner.index) from inner
+        _, c, _ = _locate(plan, exc.index)
+        lo, hi = layout.bounds[c]
+        try:
+            _dequantize_bits(row[lo:hi], b)
+        except OffGrid as inner:
+            raise OffGrid(f"channel {plan.channels[c].id!r}: {inner}", index=inner.index) from inner
         raise
     return [TributaryPayload.from_bits(ch.id, bits[lo * b : hi * b]) for ch, (lo, hi) in channels]

@@ -184,6 +184,12 @@ def tributary_rates(levels: int, basic_rate: int) -> list[int]:
     return [basic_rate << j for j in range(levels)]
 
 
+def _check_resolution(resolution: int) -> None:
+    """B must lie in 1..24: the codec holds a word in at most three bytes."""
+    if not 1 <= resolution <= 24:
+        raise BadResolution(f"resolution must be in 1..24 bits, got {resolution}")
+
+
 def _validate_parameters(plan: RatePlan) -> None:
     """Check the scalar frame parameters (N, J, R, B) alone."""
     if not _is_pow2(plan.blocklength):
@@ -195,8 +201,7 @@ def _validate_parameters(plan: RatePlan) -> None:
         )
     if plan.basic_rate <= 0:
         raise IllegalRate(f"basic rate must be positive, got {plan.basic_rate}")
-    if plan.resolution < 1:
-        raise BadResolution(f"resolution must be >= 1 bit, got {plan.resolution}")
+    _check_resolution(plan.resolution)
 
 
 def frame_time(plan: RatePlan) -> Fraction:

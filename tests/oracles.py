@@ -175,3 +175,18 @@ def quantizer_levels(resolution: int) -> np.ndarray:
     """All 2^B legal amplitudes of the offset-binary midrise mapping."""
     scale = 1 << resolution
     return (2.0 * np.arange(scale) + 1.0 - scale) / scale
+
+
+# ------------------------------------------------------------- decimal text
+
+def per_row_decimal_text(rows) -> str:
+    """One f-string per value: ``:.17g`` values, ``,`` between the columns
+    of a row and ``\\n`` after it. The writer wavemux used before its
+    block writer."""
+    return "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+
+
+def per_token_decimals(text: str) -> np.ndarray:
+    """One ``float()`` per token, tokens separated by commas and/or
+    whitespace. The reader wavemux used before its one-cast reader."""
+    return np.array([float(f) for f in text.replace(",", "\n").split()])

@@ -9,6 +9,7 @@ import pytest
 
 from wavemux import ConfigError, load_plan
 from wavemux.cli import main
+from oracles import per_row_decimal_text
 
 J3_PLAN = {
     "N": 64,
@@ -212,15 +213,20 @@ class TestMuxDemuxCommands:
         assert main(["demux", sig, "--plan", plan_file, "--wavelet", "haar",
                      "--out", str(tmp_path / "rx")]) == 4
 
-    def test_nan_sample_exits_4(self, tmp_path, plan_file):
-        payloads = write_random_payloads(tmp_path, J3_PLAN, seed=13)
+    def test_nan_sample_exits_4(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=2, seed=13)
         sig = tmp_path / "sig.f64"
         assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(sig)]) == 0
         samples = np.frombuffer(sig.read_bytes(), dtype="<f8").copy()
-        samples[7] = np.nan
+        samples[64 + 7] = np.nan  # frame 1
         sig.write_bytes(samples.tobytes())
-        assert main(["demux", str(sig), "--plan", plan_file,
-                     "--out", str(tmp_path / "rx")]) == 4
+        for payload in ("bits", "samples"):
+            capsys.readouterr()
+            assert main(["demux", str(sig), "--plan", plan_file, "--payload", payload,
+                         "--out", str(tmp_path / "rx")]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("demux integrity failure: channel 'alpha', frame 1: "), payload
+            assert not (tmp_path / "rx").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_csv_sample_exits_4_without_warnings(self, tmp_path, plan_file, capsys):
@@ -240,6 +246,7 @@ class TestMuxDemuxCommands:
         doc = dict(J3_PLAN, B=b)
         plan = write_plan(tmp_path, doc)
         payloads = write_random_payloads(tmp_path, doc)
+        assert main(["plan", "--plan", plan]) == 2
         assert main(["mux", str(payloads), "--plan", plan,
                      "--out", str(tmp_path / "sig.f64")]) == 2
         sig = tmp_path / "zeros.f64"
@@ -332,6 +339,24 @@ class TestMuxDemuxCommands:
                 frame_payloads.append(TributaryPayload.from_bits(cid, bits[k * per : (k + 1) * per]))
             frames.append(mux(plan, system, frame_payloads).samples)
         assert sig.read_bytes() == np.concatenate(frames).astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db4"])
+    def test_csv_files_equal_per_row_writer_of_raw_files(self, tmp_path, plan_file, wavelet):
+        # csv mux lines and csv sample payloads hold the bytes one f-string
+        # per value gives for the same samples written raw
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=40, seed=16)
+        common = ["--plan", plan_file, "--wavelet", wavelet]
+        for fmt in ("raw", "csv"):
+            sig = str(tmp_path / f"sig.{fmt}")
+            assert main(["mux", str(payloads), *common, "--format", fmt, "--out", sig]) == 0
+            assert main(["demux", sig, *common, "--format", fmt, "--payload", "samples",
+                         "--out", str(tmp_path / f"rx_{fmt}")]) == 0
+        line = np.frombuffer((tmp_path / "sig.raw").read_bytes(), dtype="<f8")
+        assert (tmp_path / "sig.csv").read_text() == per_row_decimal_text(line[:, None])
+        for ch in J3_PLAN["channels"]:
+            name = f"{ch['id']}.samples"
+            samples = np.frombuffer((tmp_path / "rx_raw" / name).read_bytes(), dtype="<f8")
+            assert (tmp_path / "rx_csv" / name).read_text() == per_row_decimal_text(samples[:, None])
 
     def test_wrong_signal_length_exits_3(self, tmp_path, plan_file):
         sig = tmp_path / "sig.f64"
@@ -478,3 +503,22 @@ class TestCustomWaveletFile:
         payloads = write_random_payloads(tmp_path, J3_PLAN)
         assert main(["mux", str(payloads), "--plan", plan_file,
                      "--wavelet", f"file:{coeffs}", "--out", str(tmp_path / "s.f64")]) == 2
+
+    @pytest.mark.parametrize("content", [b"abc,0.7\n", b"\xff\xfe", b"nan,nan\n", b" ,\n"],
+                             ids=["non-numeric", "not-utf8", "nan", "empty"])
+    def test_unreadable_coefficient_file_exits_2(self, tmp_path, plan_file, capsys, content):
+        coeffs = tmp_path / "bad.csv"
+        coeffs.write_bytes(content)
+        payloads = write_random_payloads(tmp_path, J3_PLAN)
+        capsys.readouterr()
+        assert main(["mux", str(payloads), "--plan", plan_file,
+                     "--wavelet", f"file:{coeffs}", "--out", str(tmp_path / "s.f64")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["roundtrip", "--plan", plan_file, "--wavelet", f"file:{coeffs}"]) == 2
+
+    def test_coefficients_may_be_separated_by_whitespace(self, tmp_path, plan_file):
+        from wavemux import make_wavelet_system
+
+        coeffs = tmp_path / "mine.txt"
+        coeffs.write_text("".join(f"{v:.17g}\n" for v in make_wavelet_system("db4").g))
+        assert main(["roundtrip", "--plan", plan_file, "--wavelet", f"file:{coeffs}"]) == 0

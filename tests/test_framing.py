@@ -364,8 +364,11 @@ class TestDemux:
         line = mux(plan, db4, payloads)
         samples = line.samples.copy()
         samples[5] = np.nan
-        with pytest.raises(OffGrid):
+        # both payload modes name the first channel the NaN reaches in TDM order
+        with pytest.raises(OffGrid, match=r"^channel 'ch1': "):
             demux(plan, db4, MuxedSignal(samples, line.plan_digest))
+        with pytest.raises(OffGrid, match=r"^channel 'ch1', frame 0: sample 0 is nan; "):
+            demux(plan, db4, MuxedSignal(samples, line.plan_digest), digital=False)
 
     def test_off_grid_error_names_first_bad_channel(self, db4):
         # ch2's samples 3 and 5 and ch4's sample 0 lie between levels; the error is ch2's alone

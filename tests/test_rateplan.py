@@ -8,6 +8,7 @@ import pytest
 
 from wavemux import (
     BadPhase,
+    BadResolution,
     CapacityMismatch,
     Channel,
     DepthExceedsBlocklength,
@@ -194,6 +195,12 @@ class TestValidatePlan:
         plan = RatePlan(64, 3, 64000, 8, tuple(Channel("same", 64000) for _ in range(8)))
         with pytest.raises(DuplicateChannel):
             validate_plan(plan)
+
+    @pytest.mark.parametrize("b", [0, 25, 33])
+    def test_resolution_outside_1_to_24_rejected(self, b):
+        assert validate_plan(equal_rate_plan(64, 3, 64000, 24)) == (0, 0, 8)
+        with pytest.raises(BadResolution, match="1..24"):
+            validate_plan(equal_rate_plan(64, 3, 64000, b))
 
 
 class TestSlotIndices:

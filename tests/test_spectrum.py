@@ -141,3 +141,14 @@ class TestDeterminism:
         assert header == "# seed=7 N=64 J=2 wavelet=haar"
         assert columns == "k,mag_tdm,mag_mrdm"
         assert len(blobs[0].splitlines()) == 2 + 64
+
+    def test_csv_bytes_equal_per_row_writer(self):
+        # the block writer must keep the bytes of one f-string per row, over several blocks
+        plan = equal_rate_plan(4096, 3)
+        report = compare_spectra(plan, make_wavelet_system("db4"), random_payloads(plan, 3))
+        buf = io.StringIO()
+        write_report_csv(report, buf, seed=3, levels=plan.levels, wavelet="db4")
+        expected = "# seed=3 N=4096 J=3 wavelet=db4\nk,mag_tdm,mag_mrdm\n" + "".join(
+            f"{k},{tdm:.17g},{mrdm:.17g}\n" for k, tdm, mrdm in report.rows()
+        )
+        assert buf.getvalue() == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavemux import (
+    FilterPair,
     NotOrthonormal,
     OddLength,
     UnknownWavelet,
@@ -15,7 +16,8 @@ from wavemux import (
     make_wavelet_system,
     parse_coefficients_csv,
 )
-from oracles import random_scaling_filter
+from wavemux.wavelets import decimal_rows, parse_decimals
+from oracles import per_row_decimal_text, per_token_decimals, random_scaling_filter
 
 SQRT2 = np.sqrt(2.0)
 
@@ -157,3 +159,61 @@ def test_coefficient_csv_round_trip_is_exact():
     g = random_scaling_filter(rng, 4)
     echoed = parse_coefficients_csv(format_coefficients_csv(g))
     assert echoed.tolist() == g.tolist()  # bit-exact, 17 significant digits
+    assert format_coefficients_csv(g) == ",".join(f"{v:.17g}" for v in g)
+    # a coefficient line has the one decimal syntax: commas and/or whitespace separate values
+    for sep in (" ", "\n", " , ", ",\t"):
+        assert parse_coefficients_csv(sep.join(f"{v:.17g}" for v in g) + "\n").tolist() == g.tolist()
+    with pytest.raises(ValueError):
+        parse_coefficients_csv("abc,0.7")
+    with pytest.raises(OddLength):
+        parse_coefficients_csv(" , \n")
+
+
+SPECIAL_DOUBLES = [-0.0, 5e-324, 2.2250738585072014e-309, float(2**53 + 1), 1.7976931348623157e308,
+                   np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 12])
+def test_decimal_text_matches_per_value_oracles(cols):
+    # decimal_rows must write the per-row f-string bytes and parse_decimals
+    # must read back float()'s bits, for any double, across block boundaries
+    rng = np.random.default_rng(70 + cols)
+    for rows in (1, 5, 1023, 1024, 1025, 2500):
+        values = rng.integers(0, 1 << 64, rows * cols, dtype=np.uint64).view(np.float64)
+        values[rng.integers(0, values.size, 2)] = rng.uniform(-1.0, 1.0, 2)
+        specials = rng.choice(values.size, min(values.size, len(SPECIAL_DOUBLES)), replace=False)
+        values[specials] = SPECIAL_DOUBLES[: specials.size]
+        table = values.reshape(rows, cols)
+        text = "".join(decimal_rows(table.T))
+        assert text == per_row_decimal_text(table)
+        parsed, expected = parse_decimals(text), per_token_decimals(text)
+        assert parsed.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        # the canonical NaN is what %.17g's "nan" reads back as; every other value round-trips exactly
+        finite_or_inf = ~np.isnan(values)
+        assert parsed[finite_or_inf].view(np.uint64).tolist() == values[finite_or_inf].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("token", ["1_0", "1e400", "nan", "-inf", "Infinity", "+.5", "١", "1.5e", "0x10",
+                                   "1d0", "abc", "1__0", "_1", "."])
+def test_parse_decimals_accepts_what_float_accepts(token):
+    text = f"0.5, {token}\n-2"
+    try:
+        expected = per_token_decimals(text)
+    except ValueError:
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            parse_decimals(text)
+    else:
+        assert parse_decimals(text).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g", [[np.nan, np.nan], [np.inf, -np.inf], [np.nan] * 4, "db4 with one NaN"])
+    def test_rejected_without_warnings(self, g):
+        if isinstance(g, str):
+            g = DB4_G.copy()
+            g[2] = np.nan
+        report = check_orthonormality(FilterPair.from_scaling("custom", np.asarray(g)))
+        assert [v.constraint for v in report] == ["finite_coefficients"]
+        with pytest.raises(NotOrthonormal, match="finite_coefficients"):
+            make_wavelet_system(g)
