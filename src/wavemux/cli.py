@@ -13,16 +13,19 @@ Payload files are named ``<channel-id>.bits`` (packed bytes, bits consumed
 MSB-first) or ``<channel-id>.samples``. Sample and signal files are raw
 little-endian float64 or decimal CSV, selected by ``--format``. Inputs
 may hold any whole number of frames under the same plan; partial
-trailing frames are an error. Each channel's whole stream is quantized,
-and its recovered bits decoded, at once; the streams then fill the
-columns of one ``(frames, N)`` TDM array, so ``mux``, ``demux`` and
+trailing frames are an error. Each channel's whole stream is quantized
+straight from its file bytes, and its recovered samples decoded straight
+to them, in one call of the packed-byte codec core; the streams fill
+the columns of one ``(frames, N)`` TDM array, so ``mux``, ``demux`` and
 ``spectrum`` each make one call to ``framing.mux_frames`` or
-``framing.demux_frames``.
+``framing.demux_frames``. ``mux`` and ``demux`` end with a summary line
+that counts the frames and the file bytes read and written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, OffGrid
-from .framing import _dequantize_bits, _finite, _quantize_bits, demux, demux_frames, mux, mux_frames
+from .framing import _dequantize_packed, _quantize_packed, demux, demux_frames, mux, mux_frames
 from .rateplan import (
     RatePlan,
     aggregate_rate,
@@ -100,22 +103,44 @@ def _format_seconds(t: Fraction) -> str:
     return f"{float(t):.6g} s"
 
 
-def _read_samples(path: Path, fmt: str) -> np.ndarray:
+def _read_samples(path: Path, fmt: str) -> tuple[np.ndarray, int]:
+    """The samples in ``path``, and the file's size in bytes.
+
+    Raw samples are a read-only view of the file's bytes.
+    """
+    data = path.read_bytes()
     if fmt == "raw":
-        data = path.read_bytes()
         if len(data) % 8:
             raise DataError(f"{path}: {len(data)} bytes is not a whole number of 8-byte samples")
-        return np.frombuffer(data, dtype="<f8").astype(float)
+        return np.frombuffer(data, dtype="<f8").astype(float, copy=False), len(data)
     try:
-        return parse_decimals(path.read_text(encoding="utf-8"))
+        return parse_decimals(data.decode("utf-8")), len(data)
     except ValueError as exc:  # a non-numeric token, or bytes that are not UTF-8
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _encode_samples(values: np.ndarray, fmt: str) -> bytes:
+def _encode_samples(values: np.ndarray, fmt: str):
+    """The file bytes of ``values``: a view of them (raw) or their decimal text (csv)."""
     if fmt == "raw":
-        return np.asarray(values, dtype="<f8").tobytes()
+        return np.ascontiguousarray(values, dtype="<f8").data
     return "".join(decimal_rows([values])).encode("utf-8")
+
+
+def _read_bits(path: Path, channel_id: str, spf: int, resolution: int) -> tuple[np.ndarray, int]:
+    """The samples of the B-bit words in a ``.bits`` file of whole frames, and its size.
+
+    A frame holds ``spf`` words. Bits past the last whole frame may only
+    pad the last byte, and must be zero.
+    """
+    data = np.frombuffer(path.read_bytes(), np.uint8)
+    per = spf * resolution
+    nbits = 8 * data.size
+    whole = nbits - nbits % per
+    if not whole or nbits - whole >= 8:
+        raise DataError(f"channel {channel_id!r}: {nbits} bits do not form whole frames of {per} bits")
+    if data[-1] & ((1 << (nbits - whole)) - 1):
+        raise DataError(f"channel {channel_id!r}: nonzero bits beyond the last whole frame")
+    return _quantize_packed(data, whole // resolution, resolution), data.size
 
 
 # ------------------------------------------------------------------ commands
@@ -165,21 +190,15 @@ def cmd_mux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
     directory = Path(args.payload_dir)
     columns: dict[str, np.ndarray] = {}  # channel id -> its stream as (frames, samples per frame)
+    read = 0
     for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
         spf = hi - lo
         bits_path = directory / f"{ch.id}.bits"
         samples_path = directory / f"{ch.id}.samples"
         if bits_path.exists():
-            bits = np.unpackbits(np.frombuffer(bits_path.read_bytes(), np.uint8))
-            per = spf * plan.resolution
-            whole = bits.size - bits.size % per  # bits past it may only pad the last byte
-            if not whole or bits.size - whole >= 8:
-                raise DataError(f"channel {ch.id!r}: {bits.size} bits do not form whole frames of {per} bits")
-            if bits[whole:].any():
-                raise DataError(f"channel {ch.id!r}: nonzero bits beyond the last whole frame")
-            values = _quantize_bits(bits[:whole], plan.resolution)
+            values, size = _read_bits(bits_path, ch.id, spf, plan.resolution)
         elif samples_path.exists():
-            values = _read_samples(samples_path, args.format)
+            values, size = _read_samples(samples_path, args.format)
             if values.size < spf or values.size % spf:
                 raise DataError(
                     f"channel {ch.id!r}: {values.size} samples do not form whole frames of {spf}"
@@ -187,40 +206,40 @@ def cmd_mux(args: argparse.Namespace) -> int:
         else:
             raise DataError(f"no payload file for channel {ch.id!r} in {directory}")
         columns[ch.id] = values.reshape(-1, spf)
+        read += size
 
     frame_counts = {cid: len(block) for cid, block in columns.items()}
     if len(set(frame_counts.values())) != 1:
         raise DataError(f"channels disagree on frame count: {frame_counts}")
     tdm = np.concatenate(list(columns.values()), axis=1)  # declaration order is TDM order
     signal = mux_frames(plan, system, tdm)
-    Path(args.out).write_bytes(_encode_samples(signal, args.format))
-    print(f"wrote {signal.size} samples ({len(tdm)} frame(s)) to {args.out}")
+    written = Path(args.out).write_bytes(_encode_samples(signal, args.format))
+    print(f"wrote {signal.size} samples ({len(tdm)} frame(s)) to {args.out};"
+          f" {read} payload bytes read, {written} bytes written")
     return EXIT_OK
 
 
 def cmd_demux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
-    tdm = demux_frames(plan, system, _read_samples(Path(args.signal), args.format))
-    if args.payload == "samples":
-        _finite(plan, tdm, recovered=True)  # the bit decoder's guard band already rejects a non-finite sample
-    files: dict[str, bytes] = {}  # every channel is decoded before any file is written
+    line, read = _read_samples(Path(args.signal), args.format)
+    tdm = demux_frames(plan, system, line)
+    files = {}  # every channel is decoded before any file is written
     for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
-        stream = tdm[:, lo:hi].reshape(-1)
+        stream = tdm[:, lo:hi]  # the channel's samples, frame after frame
         if args.payload == "samples":
-            files[f"{ch.id}.samples"] = _encode_samples(stream, args.format)
+            files[f"{ch.id}.samples"] = _encode_samples(stream.reshape(-1), args.format)
             continue
         try:
-            bits = _dequantize_bits(stream, plan.resolution)
+            files[f"{ch.id}.bits"] = _dequantize_packed(stream, plan.resolution)
         except OffGrid as exc:
             frame = exc.index // (hi - lo)
             raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc
-        files[f"{ch.id}.bits"] = np.packbits(bits).tobytes()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        (out_dir / name).write_bytes(data)
-    print(f"recovered {len(plan.channels)} channel(s) over {len(tdm)} frame(s) into {out_dir}")
+    written = sum((out_dir / name).write_bytes(data) for name, data in files.items())
+    print(f"recovered {len(plan.channels)} channel(s) over {len(tdm)} frame(s) into {out_dir};"
+          f" {read} line bytes read, {written} payload bytes written")
     return EXIT_OK
 
 
@@ -309,8 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first :func:`main` call of the process and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -177,6 +177,59 @@ def quantizer_levels(resolution: int) -> np.ndarray:
     return (2.0 * np.arange(scale) + 1.0 - scale) / scale
 
 
+# --------------------------------------------------------- bit-array codec
+
+class OracleOffGrid(Exception):
+    """Raised by :func:`bit_array_dequantize`, with the library's OffGrid message and index."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def bit_array_quantize(bits: np.ndarray, resolution: int) -> np.ndarray:
+    """Samples of a uint8 array of 0/1 bits, B per word: the codec wavemux
+    used before its packed-byte core. Each word is right-aligned in
+    ceil(B/8) zero-padded bytes, so that one packbits yields it as
+    big-endian bytes."""
+    rows = bits.reshape(-1, resolution)
+    nbytes = (resolution + 7) // 8
+    padded = np.zeros((len(rows), 8 * nbytes), np.uint8)
+    padded[:, 8 * nbytes - resolution :] = rows
+    packed = np.packbits(padded).reshape(-1, nbytes)
+    words = packed[:, 0].astype(np.uint32)
+    for k in range(1, nbytes):
+        words <<= 8
+        words |= packed[:, k]
+    scale = 1 << resolution
+    samples = np.multiply(words, 2.0 / scale)
+    samples += 1.0 / scale - 1.0
+    return samples
+
+
+def bit_array_dequantize(values, resolution: int) -> np.ndarray:
+    """The uint8 0/1 bits of samples, decoded to the nearest level within
+    the 2^-(B+1) guard band; the decoder wavemux used before its
+    packed-byte core. Raises OracleOffGrid as the library raises OffGrid."""
+    v = np.asarray(values, dtype=float)
+    scale = 1 << resolution
+    nearest = np.clip(np.rint((v * scale - 1.0 + scale) / 2.0), 0, scale - 1)
+    levels = (2.0 * nearest + 1.0 - scale) / scale
+    bad = ~(np.abs(v - levels) <= 0.5 / scale)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise OracleOffGrid(
+            f"{int(bad.sum())} of {v.size} samples off-grid at B={resolution};"
+            f" first at index {k}: value {v[k]:.6g}",
+            k,
+        )
+    # left-align each word in its ceil(B/8) big-endian bytes, then unpack B bits per row
+    nbytes = (resolution + 7) // 8
+    aligned = (nearest * float(1 << (8 * nbytes - resolution))).astype(">u4")
+    rows = aligned.view(np.uint8).reshape(-1, 4)[:, 4 - nbytes :]
+    return np.unpackbits(rows, axis=1, count=resolution).reshape(-1)
+
+
 # ------------------------------------------------------------- decimal text
 
 def per_row_decimal_text(rows) -> str:

@@ -32,6 +32,17 @@ EIGHT_BASIC = {
 }
 
 
+# four channels of two 5-bit words per frame: a frame is 10 bits, so
+# frames end mid-byte and a file of 3 frames ends in 2 padding bits
+B5_SUB_BYTE = {
+    "N": 8,
+    "J": 2,
+    "R_bps": 64000,
+    "B": 5,
+    "channels": [{"id": f"u{i}", "rate_bps": 64000} for i in range(4)],
+}
+
+
 @pytest.fixture
 def plan_file(tmp_path):
     path = tmp_path / "plan.json"
@@ -202,6 +213,82 @@ class TestMuxDemuxCommands:
             sent = (payloads / f"u{i}.bits").read_bytes()
             got = (tmp_path / "rx" / f"u{i}.bits").read_bytes()
             assert sent == got
+
+    def test_b5_frames_ending_mid_byte_round_trip(self, tmp_path):
+        plan = write_plan(tmp_path, B5_SUB_BYTE)
+        payloads = tmp_path / "payloads"
+        payloads.mkdir()
+        rng = np.random.default_rng(45)
+        for cid in ("u0", "u1", "u2", "u3"):
+            data = rng.integers(0, 256, 4, dtype=np.uint8)
+            data[-1] &= 0xFC  # 3 frames are 30 bits: the last 2 bits pad the last byte
+            (payloads / f"{cid}.bits").write_bytes(data.tobytes())
+        sig = str(tmp_path / "sig.f64")
+        assert main(["mux", str(payloads), "--plan", plan, "--wavelet", "db4", "--out", sig]) == 0
+        assert (tmp_path / "sig.f64").stat().st_size == 3 * 8 * 8
+        assert main(["demux", sig, "--plan", plan, "--wavelet", "db4", "--out", str(tmp_path / "rx")]) == 0
+        for cid in ("u0", "u1", "u2", "u3"):
+            assert (tmp_path / "rx" / f"{cid}.bits").read_bytes() == (payloads / f"{cid}.bits").read_bytes()
+
+    def test_nonzero_padding_bits_exit_3(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, B5_SUB_BYTE)
+        payloads = tmp_path / "payloads"
+        payloads.mkdir()
+        for cid in ("u0", "u1", "u2", "u3"):
+            (payloads / f"{cid}.bits").write_bytes(bytes([0x5A, 0xC3, 0x0F, 0x3C]))  # 30 bits, 2 zero pad bits
+        assert main(["mux", str(payloads), "--plan", plan, "--out", str(tmp_path / "sig.f64")]) == 0
+        (payloads / "u2.bits").write_bytes(bytes([0x5A, 0xC3, 0x0F, 0x3D]))  # the last pad bit set
+        capsys.readouterr()
+        assert main(["mux", str(payloads), "--plan", plan, "--out", str(tmp_path / "sig2.f64")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: DataError: channel 'u2': nonzero bits beyond the last whole frame\n"
+        assert not (tmp_path / "sig2.f64").exists()
+
+    def test_one_whole_extra_byte_exits_3(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=2, seed=46)
+        with open(payloads / "alpha.bits", "ab") as fh:
+            fh.write(b"\0")  # 2 * 256 + 8 bits: a zero byte past the last whole frame
+        capsys.readouterr()
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(tmp_path / "sig.f64")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: DataError: channel 'alpha': 520 bits do not form whole frames of 256 bits\n"
+
+    @pytest.mark.parametrize("doc", [J3_PLAN, dict(J3_PLAN, B=12), B5_SUB_BYTE], ids=["B8", "B12", "B5"])
+    def test_bits_files_equal_per_frame_library_calls(self, tmp_path, doc):
+        from wavemux import demux, make_wavelet_system
+
+        plan_path = write_plan(tmp_path, doc)
+        frames = 4  # B5: 40 bits per channel, whole bytes
+        payloads = write_random_payloads(tmp_path, doc, frames=frames, seed=47)
+        sig = tmp_path / "sig.f64"
+        common = ["--plan", plan_path, "--wavelet", "db4"]
+        assert main(["mux", str(payloads), *common, "--out", str(sig)]) == 0
+        assert main(["demux", str(sig), *common, "--out", str(tmp_path / "rx")]) == 0
+        plan, system = load_plan(plan_path), make_wavelet_system("db4")
+        line = np.frombuffer(sig.read_bytes(), dtype="<f8").reshape(frames, -1)
+        streams: dict[str, str] = {}
+        for frame in line:
+            for p in demux(plan, system, frame):
+                streams[p.id] = streams.get(p.id, "") + p.bits
+        for cid, bits in streams.items():
+            expected = np.packbits(np.frombuffer(bits.encode(), np.uint8) - 48).tobytes()
+            assert (tmp_path / "rx" / f"{cid}.bits").read_bytes() == expected
+            assert expected == (payloads / f"{cid}.bits").read_bytes()
+
+    def test_summary_lines_count_bytes(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=2, seed=48)
+        sig, rx = tmp_path / "sig.f64", tmp_path / "rx"
+        capsys.readouterr()
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(sig)]) == 0
+        # 64 samples of 8 bits per frame in; 64 float64 samples per frame out
+        assert capsys.readouterr().out == (
+            f"wrote 128 samples (2 frame(s)) to {sig}; 128 payload bytes read, 1024 bytes written\n")
+        assert main(["demux", str(sig), "--plan", plan_file, "--out", str(rx)]) == 0
+        assert capsys.readouterr().out == (
+            f"recovered 3 channel(s) over 2 frame(s) into {rx}; 1024 line bytes read, 128 payload bytes written\n")
+        assert main(["demux", str(sig), "--plan", plan_file, "--format", "raw", "--payload", "samples",
+                     "--out", str(rx)]) == 0
+        assert capsys.readouterr().out.endswith("; 1024 line bytes read, 1024 payload bytes written\n")
 
     def test_cross_wavelet_demux_exits_4(self, tmp_path, plan_file):
         # pinned behavior: a signal multiplexed with one wavelet and

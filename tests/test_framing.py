@@ -36,9 +36,17 @@ from wavemux import (
     random_payloads,
     tdm_row,
 )
-from wavemux.framing import _QUANTIZE_BLOCK
+from wavemux.framing import _dequantize_packed, _group, _quantize_packed
 from wavemux.mra import CoefficientFrame
-from oracles import dense_synthesis_matrix, quantizer_levels, random_scaling_filter, slot_walk_coefficients
+from oracles import (
+    OracleOffGrid,
+    bit_array_dequantize,
+    bit_array_quantize,
+    dense_synthesis_matrix,
+    quantizer_levels,
+    random_scaling_filter,
+    slot_walk_coefficients,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +102,9 @@ class TestQuantizer:
     @pytest.mark.parametrize("b", range(1, 25))
     def test_words_map_to_levels_at_every_resolution(self, b):
         # B = 8, 9, 16, 17 and 24 straddle the 1-, 2- and 3-byte word boundaries;
-        # the stream spans two whole quantizer blocks and part of a third
+        # 2^15 + 37 words end in a short group of words at every B but 8, 16 and 24
         rng = np.random.default_rng(100 + b)
-        words = rng.integers(0, 1 << b, 2 * _QUANTIZE_BLOCK + 37)
+        words = rng.integers(0, 1 << b, (1 << 15) + 37)
         words[:2] = 0, (1 << b) - 1
         bits = ((words[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8) + 48
         bits = bits.tobytes().decode("ascii")
@@ -142,6 +150,102 @@ class TestQuantizer:
         v = quantize_words(bits, b)
         noise = rng.uniform(-1, 1, v.size) * (2.0 ** -(b + 2))
         assert dequantize_samples(v + noise, b) == bits
+
+
+def word_bits(words, b):
+    """The 0/1 bits of B-bit words, MSB first, as a uint8 array."""
+    return ((np.asarray(words)[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8).reshape(-1)
+
+
+def decoded(values, b):
+    """The packed core's result as (bits, None) or (None, (message, index))."""
+    try:
+        packed = _dequantize_packed(values, b)
+    except OffGrid as exc:
+        return None, (str(exc), exc.index)
+    return np.unpackbits(packed, count=np.size(values) * b), None
+
+
+def oracle_decoded(values, b):
+    try:
+        return bit_array_dequantize(values, b), None
+    except OracleOffGrid as exc:
+        return None, (str(exc), exc.index)
+
+
+class TestPackedCodec:
+    """The packed-byte core against the bit-array codec it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("b", range(1, 25))
+    def test_packed_words_samples_agree_with_bit_arrays(self, b):
+        rng = np.random.default_rng(200 + b)
+        g, nbytes = _group(b)
+        assert (g * b) % 8 == 0 and nbytes == g * b // 8 and g in (1, 2, 4, 8)
+        for count in list(range(2 * g + 2)) + [4099]:
+            words = rng.integers(0, 1 << b, count)
+            bits = word_bits(words, b)
+            packed = np.packbits(bits)
+            samples = _quantize_packed(packed, count, b)
+            assert samples.tobytes() == bit_array_quantize(bits, b).tobytes()
+            assert np.array_equal(samples, quantizer_levels(b)[words])
+            back = _dequantize_packed(samples, b)
+            assert back.dtype == np.uint8 and back.tobytes() == packed.tobytes()
+            assert np.array_equal(np.unpackbits(back, count=count * b), bit_array_dequantize(samples, b))
+
+    @pytest.mark.parametrize("b", [1, 3, 5, 7, 12, 23])
+    def test_bits_past_the_last_word_are_ignored(self, b):
+        rng = np.random.default_rng(230 + b)
+        count = 2 * _group(b)[0] + 1
+        words = rng.integers(0, 1 << b, count)
+        packed = np.packbits(word_bits(words, b))
+        padded = np.concatenate([packed, [0xFF, 0xFF, 0xFF]]).astype(np.uint8)
+        padded[packed.size - 1] |= 0xFF >> ((count * b - 1) % 8 + 1)  # set the last byte's pad bits
+        assert np.array_equal(_quantize_packed(padded, count, b), quantizer_levels(b)[words])
+
+    @pytest.mark.parametrize("b", range(1, 25))
+    def test_decoder_matches_bit_array_decoder(self, b):
+        # samples exactly at +-2^-(B+1) from a level are on the grid, just
+        # past it they are not; NaN, +-inf and values outside (-1, 1) never are
+        rng = np.random.default_rng(260 + b)
+        guard = 2.0 ** -(b + 1)
+        levels = quantizer_levels(b)
+        for trial in range(40):
+            count = int(rng.integers(1, 3 * _group(b)[0] + 3))
+            v = levels[rng.integers(0, 1 << b, count)]
+            kind = trial % 5
+            if kind == 1:
+                v = v + rng.choice([-guard, guard], count)
+            elif kind == 2:
+                v = v + rng.choice([-1.0, 1.0], count) * guard * (1 + 2.0 ** -20)
+            elif kind == 3:
+                v[rng.integers(0, count, 2)] = rng.choice([np.nan, np.inf, -np.inf], 2)
+            elif kind == 4:
+                v = v + rng.uniform(-3, 3, count) * guard
+                v[rng.integers(0, count)] = rng.choice([1.0, -1.0, 1.5, -2.0])
+            got, want = decoded(v, b), oracle_decoded(v, b)
+            assert (got[1], None if got[0] is None else got[0].tobytes()) == (
+                want[1], None if want[0] is None else want[0].tobytes())
+
+    def test_guard_band_edges_exactly(self):
+        for b in (1, 8, 24):
+            guard = 2.0 ** -(b + 1)
+            level = quantizer_levels(b)[1]
+            assert decoded([level + guard, level - guard], b)[1] is None
+            assert decoded([level + guard * (1 + 2.0 ** -20)], b)[1][1] == 0
+
+    def test_strided_rows_decode_in_order(self):
+        # the CLI decodes a channel's columns of a (frames, N) array in place
+        b, rng = 12, np.random.default_rng(290)
+        tdm = quantizer_levels(b)[rng.integers(0, 1 << b, (5, 64))]
+        stream = tdm[:, 16:48]
+        assert _dequantize_packed(stream, b).tobytes() == _dequantize_packed(stream.reshape(-1), b).tobytes()
+        tdm[3, 20] = np.nan
+        with pytest.raises(OffGrid) as flat:
+            _dequantize_packed(tdm[:, 16:48].reshape(-1), b)
+        with pytest.raises(OffGrid) as strided:
+            _dequantize_packed(tdm[:, 16:48], b)
+        assert (str(strided.value), strided.value.index) == (str(flat.value), flat.value.index)
+        assert strided.value.index == 3 * 32 + 4
 
 
 def assemble(plan, payloads):
@@ -610,6 +714,21 @@ class TestFrameFunctions:
     def test_mux_frames_shape_mismatch(self, db4, tdm):
         with pytest.raises(ShapeMismatch):
             mux_frames(make_plan(64, 3, [256000] + [64000] * 4), db4, tdm)
+
+    def test_demux_frames_rejects_a_recovered_nan(self, db4):
+        # a corrupt line must not come back as rows holding NaN: demux_frames
+        # raises what demux(digital=False) raises on the frame alone, with
+        # the frame and index counted over the whole line
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        line = np.zeros(2 * 64)
+        line[64 + 7] = np.nan
+        with pytest.raises(OffGrid) as alone:
+            demux(plan, db4, line[64:], digital=False)
+        with pytest.raises(OffGrid) as framed:
+            demux_frames(plan, db4, line)
+        assert str(alone.value).startswith("channel ") and ", frame 0: sample " in str(alone.value)
+        assert str(framed.value) == str(alone.value).replace(", frame 0: ", ", frame 1: ")
+        assert framed.value.index == 64 + alone.value.index
 
     @pytest.mark.parametrize("line", [np.zeros((2, 64)), np.zeros(64 + 3), np.zeros(0)],
                              ids=["2-D", "partial frame", "empty"])
