@@ -8,13 +8,24 @@ N = 2^6 .. 2^18 and prints nanoseconds per sample. On small frames the
 fixed cost of each NumPy call dominates; from a few thousand samples on
 the figure settles, which is the linear cost in numbers. Timings depend
 on the host, so the demo reports them and checks only the round trip.
+
+The second table runs whole frames through ``mux`` and ``demux`` on an
+octave ladder plan, which is in order (``plan.layout.in_order``): its TDM
+row already is its coefficient vector, so neither side permutes it.
+Beside ns per sample it prints the bytes a call allocates, counted by
+``tracemalloc`` after a warm-up call: the peak of fresh memory during
+the call, as a multiple of the 8N bytes of one frame. Scratch arrays of
+128 KiB and more are reused from call to call; from N = 2^15 on every
+one a call takes is that large, and the figure is the result alone (the
+line, or the recovered row) plus, for demux, a one-byte mask per sample.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
-from wavemux import analyze, make_wavelet_system, synthesize
+from wavemux import Channel, RatePlan, TributaryPayload, analyze, demux, make_wavelet_system, mux, synthesize
 
 DEPTH = 6
 BUDGET_S = 0.05  # timing budget per frame length and direction
@@ -50,3 +61,42 @@ for p in range(6, 19):
 
 print("\nThe per-sample figure falls while fixed call costs are spread over more")
 print("samples, then holds roughly level: doubling the frame doubles the work.")
+
+
+def ladder(n: int) -> RatePlan:
+    """One channel per octave band, finest first, plus a basic-rate leaf."""
+    r = 8_000
+    bands = tuple(Channel(f"band{k}", r << (DEPTH - k)) for k in range(1, DEPTH + 1))
+    return RatePlan(n, DEPTH, r, 12, bands + (Channel("leaf", r),))
+
+
+def allocated(fn, arg) -> int:
+    """Peak bytes of fresh memory during one call of ``fn(arg)``, after a warm-up call."""
+    fn(arg)
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+print(f"\nmux and demux of one frame, db4 ladder plan at J = {DEPTH} (in order: no scatter or gather)")
+print(f"{'N':>8} {'mux':>10} {'demux':>10}   (ns per sample)  {'mux':>8} {'demux':>8}   (bytes allocated / 8N)")
+for p in range(10, 19, 2):
+    n = 1 << p
+    plan = ladder(n)
+    assert plan.layout.in_order
+    payloads = [TributaryPayload.from_samples(ch.id, rng.uniform(-1, 1, hi - lo))
+                for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)]
+    line = mux(plan, db4, payloads)
+    for sent, got in zip(payloads, demux(plan, db4, line, digital=False)):
+        assert np.max(np.abs(got.samples - sent.samples)) < 1e-10, f"round trip error at N = {n}"
+    t_mux = best_ns(lambda ps: mux(plan, db4, ps), payloads) / n
+    t_demux = best_ns(lambda s: demux(plan, db4, s, digital=False), line) / n
+    a_mux = allocated(lambda ps: mux(plan, db4, ps), payloads) / (8 * n)
+    a_demux = allocated(lambda s: demux(plan, db4, s, digital=False), line) / (8 * n)
+    print(f"{'2^' + str(p):>8} {t_mux:10.2f} {t_demux:10.2f}   {'':16} {a_mux:8.2f} {a_demux:8.2f}")
+
+print("\nOn the large frames mux allocates its line (1.00) and demux its row plus a")
+print("one-byte-per-sample finiteness mask (1.13): no scratch array is fresh memory.")

@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteSample,
     NotOrthonormal,
     NotPowerOfTwoN,
+    NTooLarge,
     OddLength,
     OffGrid,
     PayloadLengthMismatch,

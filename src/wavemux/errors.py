@@ -58,6 +58,10 @@ class NotPowerOfTwoN(ConfigError):
     """Frame blocklength is not a power of two."""
 
 
+class NTooLarge(ConfigError):
+    """Frame blocklength exceeds the supported maximum."""
+
+
 class DepthExceedsBlocklength(ConfigError):
     """The number of scales does not fit the frame blocklength."""
 

@@ -10,7 +10,12 @@ buffer and synthesizes from views of it; the receive body analyzes down
 to the leaf level with every level written into its slice of a flat
 buffer, then gathers once through ``layout.index``. Neither builds a
 :class:`CoefficientFrame`; :func:`assemble_frame` and
-:func:`disassemble_frame` remain for callers that want one.
+:func:`disassemble_frame` remain for callers that want one. When the
+permutation is the identity (``layout.in_order``, as for an octave ladder
+declared finest band first), both bodies skip it: synthesis reads views
+of the rows themselves, and analysis writes straight into the fresh
+array it returns as the rows. At N = 2^18 the scatter and the gather are
+2 MB copies that move every sample to where it already was.
 
 :func:`mux_frames` and :func:`demux_frames` hold the only frame loop.
 They run the body over blocks of ``_BLOCK_SAMPLES // N`` frames (at
@@ -18,15 +23,23 @@ least one) into one preallocated ``(frames, N)`` result: a block's
 buffers then stay in a 2 MiB L2 cache, where one call per frame pays
 per-call overhead at every level and the whole batch at once spills out
 of the cache. :func:`mux` and :func:`demux` run the same body once on
-the 1-D row of one frame of payload objects (:func:`tdm_row` turns them
-into a row), without stacking it into (1, N): at N = 2^18 the extra
-full-length arrays, fresh memory on every call, cost about a third of
-the single-frame throughput, and at N = 64 a kernel call costs 30-45%
-more on a (1, M) array than on a 1-D one. Both transmit paths reject a
-row holding NaN or an infinity (NonFiniteSample), which synthesis would
-otherwise spread over every channel of the frame; ``demux_frames`` and
-``demux`` in sample mode reject a recovered one (OffGrid), which only a
-corrupt line leaves.
+the 1-D row of one frame of payload objects, without stacking it into
+(1, N): at N = 2^18 the extra full-length arrays, fresh memory on every
+call, cost about a third of the single-frame throughput, and at N = 64 a
+kernel call costs 30-45% more on a (1, M) array than on a 1-D one.
+:func:`mux` fills that row (what :func:`tdm_row` returns) in the
+transmit row that ``mra._scratch`` keeps for this thread, so from 128 KiB
+up, steady traffic at one frame size allocates no full-size array but
+the results: the synthesized line, and the recovered row that
+:func:`demux` slices its payloads out of. Fresh arrays are fresh pages
+whenever the allocator has given the memory back to the system since
+the last call: at N = 2^18, in a loop that keeps each result until the
+next frame's are made, the fresh TDM row and gathered row cost about 500
+minor page faults per frame, and the in-order path with the reused row
+none. Both transmit paths reject a row holding NaN or an infinity
+(NonFiniteSample), which synthesis would otherwise spread over every
+channel of the frame; ``demux_frames`` and ``demux`` in sample mode
+reject a recovered one (OffGrid), which only a corrupt line leaves.
 
 The codec runs once per frame, not once per channel: :func:`tdm_row`
 joins the digital payloads' bits into one :func:`quantize_words` call,
@@ -322,10 +335,14 @@ def tdm_row(plan: RatePlan, payloads) -> np.ndarray:
     holds exactly the N values that become the frame's coefficients. The
     digital payloads' bits are joined and quantized in one call.
     """
+    return _fill_row(plan, payloads, np.empty(plan.blocklength))
+
+
+def _fill_row(plan: RatePlan, payloads, row: np.ndarray) -> np.ndarray:
+    """:func:`tdm_row` written into ``row`` (N,), which it returns."""
     bounds = plan.layout.bounds
     by_id = _index_payloads(plan, payloads)
     ordered = [by_id[ch.id] for ch in plan.channels]
-    row = np.empty(plan.blocklength)
     try:
         words, slots = [], []
         for payload, (lo, hi) in zip(ordered, bounds):
@@ -410,25 +427,39 @@ def disassemble_frame(frame: CoefficientFrame, layout: FrameLayout) -> np.ndarra
 _BLOCK_SAMPLES = 1 << 16
 
 
-def _synthesize_rows(layout: FrameLayout, system: FilterPair, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _permutation(layout: FrameLayout) -> np.ndarray | None:
+    """``layout.index``, or None when it is the identity and rows need no scatter or gather."""
+    return None if layout.in_order else layout.index
+
+
+def _synthesize_rows(layout: FrameLayout, system: FilterPair, rows: np.ndarray, index: np.ndarray | None) -> np.ndarray:
     """Line frames (..., N) of TDM rows (..., N): one scatter, then synthesis from views of it.
 
     ``index`` places the rows' samples in their flat coefficient buffer,
     both read in order: ``layout.index`` for one row, or for a block as
-    :func:`_by_blocks` builds it.
+    :func:`_by_blocks` builds it. With None the rows already are that
+    buffer, and synthesis reads views of them.
     """
-    flat = _scratch("coefficients", rows.shape)
-    flat.reshape(-1)[index] = rows.reshape(-1)
+    flat = rows
+    if index is not None:
+        flat = _scratch("coefficients", rows.shape)
+        flat.reshape(-1)[index] = rows.reshape(-1)
     return _synthesize_levels(*_split(flat, layout.depth), system.g, system.h)
 
 
-def _analyze_rows(layout: FrameLayout, system: FilterPair, frames: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """TDM rows (..., N) of line frames (..., N): analysis down to the leaf level, then one gather."""
-    flat = _scratch("coefficients", frames.shape)
+def _analyze_rows(layout: FrameLayout, system: FilterPair, frames: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    """TDM rows (..., N) of line frames (..., N): analysis down to the leaf level, then one gather.
+
+    With ``index`` None the coefficient buffer already is the rows, and
+    analysis writes straight into the fresh array returned.
+    """
+    flat = np.empty(frames.shape) if index is None else _scratch("coefficients", frames.shape)
     # a non-finite line sample turns into NaN on the way down; the decoder
     # reports it as OffGrid, so NumPy's warning would only repeat it
     with np.errstate(invalid="ignore", over="ignore"):
         _analyze_flat(frames, layout.depth, system.g, system.h, flat)
+    if index is None:
+        return flat
     return flat.reshape(-1)[index].reshape(frames.shape)
 
 
@@ -439,11 +470,13 @@ def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray
     # layout.index for each frame of a block, over the whole block read as
     # one 1-D array (NumPy indexes that much faster than the last axis of a
     # 2-D array); a shorter last block uses its head
-    index = (layout.index + n * np.arange(min(step, len(frames)))[:, None]).reshape(-1)
+    index = _permutation(layout)
+    if index is not None:
+        index = (index + n * np.arange(min(step, len(frames)))[:, None]).reshape(-1)
     out = np.empty(frames.shape)
     for start in range(0, len(frames), step):
         block = frames[start : start + step]
-        out[start : start + step] = body(layout, system, block, index[: block.size])
+        out[start : start + step] = body(layout, system, block, None if index is None else index[: block.size])
     return out
 
 
@@ -473,8 +506,10 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     """Multiplex one frame of payloads into a length-N signal."""
     layout = plan.layout
-    row = _finite(plan, tdm_row(plan, payloads))
-    return MuxedSignal(_synthesize_rows(layout, system, row, layout.index), layout.digest)
+    # the row lives in reused memory: from 128 KiB up, a fresh one would cost
+    # page faults on every call, and only the synthesized line is returned
+    row = _finite(plan, _fill_row(plan, payloads, _scratch("row", (plan.blocklength,))))
+    return MuxedSignal(_synthesize_rows(layout, system, row, _permutation(layout)), layout.digest)
 
 
 def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -> list[TributaryPayload]:
@@ -495,7 +530,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     if x.ndim != 1 or x.size != plan.blocklength:
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 
-    row = _analyze_rows(layout, system, x, layout.index)
+    row = _analyze_rows(layout, system, x, _permutation(layout))
     channels = list(zip(plan.channels, layout.bounds))
     if not digital:
         _finite(plan, row, recovered=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Union
@@ -44,6 +44,7 @@ from .errors import (
     IllegalRate,
     JTooLarge,
     NotPowerOfTwoN,
+    NTooLarge,
     RateInconsistentWithFm,
 )
 
@@ -84,6 +85,10 @@ Composition = tuple[int, ...]
 
 DEFAULT_COMPOSITION_CAP = 1_000_000
 _MAX_LEVELS = 16
+#: Largest blocklength N a plan may declare: 2^24 samples, 128 MiB per
+#: float64 frame. Compiling a plan builds arrays of N entries, so a larger
+#: N would fail for want of memory rather than as an invalid plan.
+_MAX_BLOCKLENGTH = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,8 @@ def _validate_parameters(plan: RatePlan) -> None:
     """Check the scalar frame parameters (N, J, R, B) alone."""
     if not _is_pow2(plan.blocklength):
         raise NotPowerOfTwoN(f"blocklength {plan.blocklength} is not a power of two")
+    if plan.blocklength > _MAX_BLOCKLENGTH:
+        raise NTooLarge(f"blocklength {plan.blocklength} exceeds the supported maximum {_MAX_BLOCKLENGTH}")
     if plan.levels < 1 or plan.blocklength < (1 << plan.levels):
         raise DepthExceedsBlocklength(
             f"levels={plan.levels} needs a blocklength of at least {1 << max(plan.levels, 1)},"
@@ -234,7 +241,7 @@ def samples_per_frame(plan: RatePlan, channel: Channel) -> int:
 def validate_plan(plan: RatePlan) -> Composition:
     """Check every plan invariant; return the induced composition.
 
-    Raises NotPowerOfTwoN, DepthExceedsBlocklength, BadResolution,
+    Raises NotPowerOfTwoN, NTooLarge, DepthExceedsBlocklength, BadResolution,
     IllegalRate, RateInconsistentWithFm, DuplicateChannel, or
     CapacityMismatch.
     """
@@ -424,6 +431,12 @@ class FrameLayout:
     bands finest first, then the approximation at level ``depth``. The two
     are permutations of each other: TDM sample ``i`` is flat coefficient
     ``index[i]`` (a read-only array).
+
+    ``in_order`` is computed from ``index``: true when the permutation is
+    the identity, as for an octave ladder declared finest band first, whose
+    TDM row already is its coefficient vector. The frame path then
+    synthesizes from views of the row and analyzes straight into the
+    returned row, with no scatter or gather.
     """
 
     composition: Composition
@@ -432,6 +445,11 @@ class FrameLayout:
     digest: str
     bounds: tuple[tuple[int, int], ...]
     index: np.ndarray
+    in_order: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        # a permutation of 0 .. N-1 is the identity exactly when it ascends
+        object.__setattr__(self, "in_order", bool(np.all(self.index[1:] > self.index[:-1])))
 
 
 def _compile_layout(plan: RatePlan) -> FrameLayout:

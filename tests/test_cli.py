@@ -98,6 +98,13 @@ class TestPlanCommand:
         assert main(["plan", "--plan", write_plan(tmp_path, doc)]) == 2
         assert "IllegalRate" in capsys.readouterr().err
 
+    def test_blocklength_above_the_cap_exits_2(self, tmp_path, capsys):
+        # refused in validation: compiling would first try to allocate 2^40 indices
+        doc = {"N": 1 << 40, "J": 1, "R_bps": 64000, "B": 8,
+               "channels": [{"id": "a", "rate_bps": 64000}, {"id": "b", "rate_bps": 64000}]}
+        assert main(["plan", "--plan", write_plan(tmp_path, doc)]) == 2
+        assert "plan invalid: NTooLarge: blocklength 1099511627776 exceeds" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["plan", "--plan", str(tmp_path / "nope.json")]) == 3
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from wavemux import (
     tdm_row,
 )
 from wavemux.framing import _dequantize_packed, _group, _quantize_packed
-from wavemux.mra import CoefficientFrame
+from wavemux.mra import CoefficientFrame, analyze, synthesize
 from oracles import (
     OracleOffGrid,
     bit_array_dequantize,
@@ -574,6 +575,21 @@ class TestFrameLayout:
         with pytest.raises(ValueError):
             four_channel_plan().layout.index[0] = 1
 
+    def test_in_order_when_the_index_is_the_identity(self):
+        # an octave ladder declared finest band first is already in Mallat's order
+        assert ladder_plan(1 << 10, 6).layout.in_order
+        spectrum = RatePlan(4096, 4, 8000, 8, tuple(Channel(cid, units * 8000) for cid, units in
+                                                     (("a", 8), ("b", 4), ("c", 2), ("d", 1), ("e", 1))))
+        assert spectrum.layout.in_order
+        voice = RatePlan(64, 3, 64000, 8, (Channel("data", 256000),) + tuple(
+            Channel(f"voice{k}", 64000) for k in range(1, 5)))
+        assert not voice.layout.in_order
+        for j in range(1, 5):
+            for comp in enumerate_compositions(j):
+                rates = [64000 << (j - tier) for tier, count in enumerate(comp, start=1) for _ in range(count)]
+                layout = make_plan(1 << (j + 1), j, rates).layout
+                assert layout.in_order == (layout.index.tolist() == list(range(1 << (j + 1))))
+
 
 class TestFrameCodec:
     def test_mixed_digital_and_sample_payloads_round_trip(self, db4):
@@ -735,3 +751,91 @@ class TestFrameFunctions:
     def test_demux_frames_shape_mismatch(self, db4, line):
         with pytest.raises(ShapeMismatch):
             demux_frames(make_plan(64, 3, [256000] + [64000] * 4), db4, line)
+
+
+class TestReusedMemory:
+    """Frames above the 128 KiB scratch threshold: results never share reused memory."""
+
+    N = 1 << 15
+
+    @pytest.fixture(params=["in-order", "permuted"])
+    def plan(self, request):
+        if request.param == "in-order":
+            plan = ladder_plan(self.N, 8)
+        else:
+            plan = make_plan(self.N, 6, [64000 * 32, 64000 * 16] + [64000] * 16)
+        assert plan.layout.in_order == (request.param == "in-order")
+        return plan
+
+    def payloads(self, plan, seed, digital):
+        if digital:
+            return random_payloads(plan, seed)
+        rng = np.random.default_rng(seed)
+        return [TributaryPayload.from_samples(ch.id, rng.uniform(-1, 1, hi - lo))
+                for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)]
+
+    @pytest.mark.parametrize("digital", [False, True], ids=["samples", "digital"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db4"])
+    def test_one_frame_results_survive_the_next_call(self, plan, wavelet, digital):
+        system, layout = make_wavelet_system(wavelet), plan.layout
+        first, second = self.payloads(plan, 70, digital), self.payloads(plan, 71, digital)
+        sent = [p.bits if digital else p.samples.copy() for p in first]
+        line = mux(plan, system, first)
+        kept_line = line.samples.copy()
+        back = demux(plan, system, line, digital=digital)
+        kept_back = [p.bits if digital else p.samples.copy() for p in back]
+        demux(plan, system, mux(plan, system, second), digital=digital)
+        assert line.samples.tobytes() == kept_line.tobytes()
+        for got, kept, want, payload in zip(back, kept_back, sent, first):
+            if digital:
+                assert got.bits == kept == want
+            else:
+                assert got.samples.tobytes() == kept.tobytes()
+                assert payload.samples.tobytes() == want.tobytes()  # the caller's input is untouched
+        # the public route through a CoefficientFrame, bit for bit
+        oracle_line = synthesize(assemble_frame(layout, tdm_row(plan, first)), system)
+        assert line.samples.tobytes() == oracle_line.tobytes()
+        if not digital:
+            oracle_row = disassemble_frame(analyze(line.samples, layout.depth, system), layout)
+            assert np.concatenate([p.samples for p in back]).tobytes() == oracle_row.tobytes()
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db4"])
+    def test_frame_batches_survive_the_next_call(self, plan, wavelet):
+        # 3 frames of 2^15 samples make one whole block of 2 and a shorter one
+        system, layout = make_wavelet_system(wavelet), plan.layout
+        rng = np.random.default_rng(72)
+        first, second = rng.uniform(-1, 1, (2, 3, self.N))
+        line = mux_frames(plan, system, first)
+        kept_line = line.copy()
+        rows = demux_frames(plan, system, line)
+        kept_rows = rows.copy()
+        demux_frames(plan, system, mux_frames(plan, system, second))
+        assert line.tobytes() == kept_line.tobytes()
+        assert rows.tobytes() == kept_rows.tobytes()
+        for k, frame in enumerate(line.reshape(3, self.N)):
+            assert frame.tobytes() == synthesize(assemble_frame(layout, first[k]), system).tobytes()
+            oracle_row = disassemble_frame(analyze(frame, layout.depth, system), layout)
+            assert rows[k].tobytes() == oracle_row.tobytes()
+
+    def test_in_order_frames_take_no_fresh_memory_but_their_result(self, db4):
+        # counted by tracemalloc, not timed: after one warm-up call, mux
+        # allocates only the line and sample-mode demux only the recovered
+        # row plus its one-byte-per-sample finiteness mask
+        n = 1 << 16
+        plan = ladder_plan(n, 8)
+        assert plan.layout.in_order
+        payloads = self.payloads(plan, 73, digital=False)
+        demux(plan, db4, mux(plan, db4, payloads), digital=False)
+        tracemalloc.start()
+        try:
+            line = mux(plan, db4, payloads)
+            mux_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            demux(plan, db4, line, digital=False)
+            demux_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = 8 * n
+        assert mux_peak <= 1.05 * size
+        assert demux_peak <= 1.15 * size

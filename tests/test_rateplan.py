@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from wavemux import (
     JTooLarge,
     LeafNode,
     NotPowerOfTwoN,
+    NTooLarge,
     RateInconsistentWithFm,
     RatePlan,
     SplitNode,
@@ -177,6 +179,22 @@ class TestValidatePlan:
     def test_blocklength_must_be_power_of_two(self):
         with pytest.raises(NotPowerOfTwoN):
             validate_plan(equal_rate_plan(96, 3))
+
+    def test_blocklength_above_the_cap_fails_before_compiling(self):
+        # compiling builds arrays of N entries: N = 2^40 would ask for terabytes,
+        # so validation must refuse it before any of them is allocated
+        assert validate_plan(equal_rate_plan(1 << 24, 1)) == (2,)
+        with pytest.raises(NTooLarge, match="exceeds the supported maximum 16777216"):
+            validate_plan(equal_rate_plan(1 << 25, 1))
+        plan = equal_rate_plan(1 << 40, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NTooLarge):
+                plan.layout
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_depth_must_fit_blocklength(self):
         with pytest.raises(DepthExceedsBlocklength):
