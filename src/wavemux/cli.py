@@ -10,12 +10,14 @@ Exit codes: 0 success, 2 invalid plan or configuration, 3 I/O or payload
 shape problem, 4 demux integrity failure (off-grid samples).
 
 Payload files are named ``<channel-id>.bits`` (packed bytes, bits consumed
-MSB-first) or ``<channel-id>.samples``. Sample and signal files are raw
-little-endian float64 or decimal CSV, selected by ``--format``. Inputs
-may hold any whole number of frames under the same plan; partial
-trailing frames are an error. Each channel's whole stream is quantized
-straight from its file bytes, and its recovered samples decoded straight
-to them, in one call of the packed-byte codec core; the streams fill
+MSB-first) or ``<channel-id>.samples``; a plan whose ids hold a path
+separator or NUL is refused (exit 2) before any payload file is opened.
+Sample and signal files are raw little-endian float64 or decimal CSV,
+selected by ``--format``. Inputs may hold any whole number of frames
+under the same plan; partial trailing frames are an error. Each
+channel's whole stream is quantized straight from its file bytes, and
+its recovered samples decoded straight to them, in one call of the
+packed-byte codec core; the streams fill
 the columns of one ``(frames, N)`` TDM array, so ``mux``, ``demux`` and
 ``spectrum`` each make one call to ``framing.mux_frames`` or
 ``framing.demux_frames``. ``mux`` and ``demux`` end with a summary line
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +78,21 @@ def _load(args: argparse.Namespace) -> tuple[RatePlan, FilterPair]:
     plan = load_plan(args.plan)
     plan.layout  # compiling validates the plan
     return plan, _resolve_wavelet(args.wavelet, args.verbose)
+
+
+def _payload_stems(plan: RatePlan) -> list[str]:
+    """Each channel's payload file name without its suffix, in declaration order.
+
+    The name is the channel id, so an id that holds a path separator or
+    NUL, which would name a file outside the payload directory or none at
+    all, is refused before any payload file is opened.
+    """
+    for ch in plan.channels:
+        if any(c in ch.id for c in ("/", "\0", os.sep, os.altsep) if c):
+            raise ConfigError(
+                f"channel {ch.id!r}: an id holding a path separator or NUL cannot name a payload file"
+            )
+    return [ch.id for ch in plan.channels]
 
 
 def _resolve_wavelet(spec: str, verbose: bool = False) -> FilterPair:
@@ -191,10 +209,10 @@ def cmd_mux(args: argparse.Namespace) -> int:
     directory = Path(args.payload_dir)
     columns: dict[str, np.ndarray] = {}  # channel id -> its stream as (frames, samples per frame)
     read = 0
-    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+    for ch, stem, (lo, hi) in zip(plan.channels, _payload_stems(plan), plan.layout.bounds):
         spf = hi - lo
-        bits_path = directory / f"{ch.id}.bits"
-        samples_path = directory / f"{ch.id}.samples"
+        bits_path = directory / f"{stem}.bits"
+        samples_path = directory / f"{stem}.samples"
         if bits_path.exists():
             values, size = _read_bits(bits_path, ch.id, spf, plan.resolution)
         elif samples_path.exists():
@@ -221,16 +239,17 @@ def cmd_mux(args: argparse.Namespace) -> int:
 
 def cmd_demux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
+    stems = _payload_stems(plan)
     line, read = _read_samples(Path(args.signal), args.format)
     tdm = demux_frames(plan, system, line)
     files = {}  # every channel is decoded before any file is written
-    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
+    for ch, stem, (lo, hi) in zip(plan.channels, stems, plan.layout.bounds):
         stream = tdm[:, lo:hi]  # the channel's samples, frame after frame
         if args.payload == "samples":
-            files[f"{ch.id}.samples"] = _encode_samples(stream.reshape(-1), args.format)
+            files[f"{stem}.samples"] = _encode_samples(stream.reshape(-1), args.format)
             continue
         try:
-            files[f"{ch.id}.bits"] = _dequantize_packed(stream, plan.resolution)
+            files[f"{stem}.bits"] = _dequantize_packed(stream, plan.resolution)
         except OffGrid as exc:
             frame = exc.index // (hi - lo)
             raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc

@@ -14,8 +14,10 @@ runs at 2^J * R bits per second regardless of how the channels split.
 Capacity accounting is done in "units" of one basic-rate channel: the
 frame holds 2^J units, the detail band at level l holds 2^(J-l), and a
 channel of rate 2^(J-j) R occupies 2^(J-j) of them. Channels are placed
-by a buddy allocator (see :func:`allocate_bands`) that reproduces the
-obvious equal-rate layout and stays deterministic for mixed rates.
+in descending rate, ties in declaration order, and the detail bands fill
+finest first: a channel of u units in a band of C units takes decimation
+C/u and the lowest free phase at it, and the last channel takes the
+remaining approximation whole (see :func:`allocate_bands`).
 
 A plan is compiled once into a :class:`FrameLayout` (``plan.layout``):
 validation, allocation, digest and the permutation between a frame's
@@ -201,10 +203,12 @@ def _validate_parameters(plan: RatePlan) -> None:
         raise NotPowerOfTwoN(f"blocklength {plan.blocklength} is not a power of two")
     if plan.blocklength > _MAX_BLOCKLENGTH:
         raise NTooLarge(f"blocklength {plan.blocklength} exceeds the supported maximum {_MAX_BLOCKLENGTH}")
-    if plan.levels < 1 or plan.blocklength < (1 << plan.levels):
+    # N = 2^n with n <= 24 here, so J is compared with n: a huge J's 2^J would
+    # not fit in memory, nor print, so the message states it as a power
+    if not 1 <= plan.levels < plan.blocklength.bit_length():
+        least = 1 << max(plan.levels, 1) if plan.levels <= 64 else f"2^{plan.levels}"
         raise DepthExceedsBlocklength(
-            f"levels={plan.levels} needs a blocklength of at least {1 << max(plan.levels, 1)},"
-            f" got {plan.blocklength}"
+            f"levels={plan.levels} needs a blocklength of at least {least}, got {plan.blocklength}"
         )
     if plan.basic_rate <= 0:
         raise IllegalRate(f"basic rate must be positive, got {plan.basic_rate}")
@@ -326,73 +330,46 @@ def slot_indices(band_length: int, decimation: int, phase: int) -> np.ndarray:
     return np.arange(phase, band_length, decimation)
 
 
-class _Band:
-    """Mutable buddy free-list for one detail band during allocation."""
-
-    def __init__(self, level: int, capacity: int) -> None:
-        self.level = level
-        self.capacity = capacity          # units, power of two
-        self.free: list[tuple[int, int]] = [(1, 0)]  # (decimation, phase)
-        self.slots: list[Slot] = []
-
-    def try_place(self, channel_id: str, units: int) -> bool:
-        if units > self.capacity:
-            return False
-        target = self.capacity // units   # decimation of an exact-fit chunk
-        fitting = [c for c in self.free if c[0] <= target]
-        if not fitting:
-            return False
-        m, p = min(fitting, key=lambda c: c[1])  # lowest phase first
-        self.free.remove((m, p))
-        while m < target:
-            # split (m, p) -> (2m, p) + (2m, p+m); keep the lower phase
-            self.free.append((2 * m, p + m))
-            m *= 2
-        self.slots.append(Slot(channel_id, target, p))
-        return True
-
-
 def allocate_bands(plan: RatePlan) -> AllocationTree:
     """The plan's band allocation (see :func:`_allocate`), built once with its layout."""
     return plan.layout.tree
 
 
 def _allocate(plan: RatePlan) -> AllocationTree:
-    """Deterministically assign every channel of a valid plan to a band slot or leaf node.
+    """Assign every channel of a valid plan to a band slot or the leaf, in one pass.
 
-    Channels are taken in descending rate (declaration order breaking
-    ties). Each is placed in the finest detail band holding a free buddy
-    chunk of sufficient size, lowest phase first. When no band fits, the
-    pending approximation node is handed to the channel whole if the
-    sizes match, otherwise split one level deeper and the search retried.
-    Placement always succeeds for a valid plan.
+    Channels are taken in descending rate, ties in declaration order, and
+    the bands fill finest first: a channel of u units in a band of C units
+    takes decimation C/u and the lowest phase still free at that
+    decimation. The last channel finds every band full and the
+    approximation the size of its rate, and takes it whole as the leaf.
+
+    Rates only fall, so a band is full before the next one opens, and the
+    open band's free capacity is a list of phases at one decimation d;
+    going to decimation 2d splits each free phase q into q and q + d.
     """
-    levels = plan.levels
-    order = sorted(plan.channels, key=lambda c: -c.rate)  # stable sort keeps declaration order
-
-    bands: list[_Band] = []
-    depth = 0
-    approx_units = 1 << levels
-    leaf_channel: str | None = None
-
-    for ch in order:
+    bands: list[list[Slot]] = []
+    approx = 1 << plan.levels      # units left below the bands opened so far
+    free: list[int] = []           # the open band's free phases at decimation d, largest first
+    d = 1
+    for ch in sorted(plan.channels, key=lambda c: -c.rate):  # stable sort keeps declaration order
         units = channel_units(plan, ch)
-        while True:
-            if any(b.try_place(ch.id, units) for b in bands):
-                break
-            assert leaf_channel is None, "free capacity exhausted for a valid plan"
-            if approx_units == units:
-                leaf_channel = ch.id
-                break
-            assert approx_units > units, "approximation node smaller than pending channel"
-            depth += 1
-            bands.append(_Band(depth, 1 << (levels - depth)))
-            approx_units >>= 1
+        if not free:
+            if approx == units:
+                leaf = ch.id
+                continue
+            approx >>= 1           # open the next band, of approx units
+            bands.append([])
+            free, d = [0], 1
+        want = approx // units
+        while d < want:
+            free = [q + d for q in free] + free
+            d *= 2
+        bands[-1].append(Slot(ch.id, want, free.pop()))
 
-    assert leaf_channel is not None, "valid plans always terminate in a leaf"
-    node: AllocationTree = LeafNode(level=depth, channel_id=leaf_channel)
-    for band in reversed(bands):
-        node = SplitNode(level=band.level - 1, band=tuple(band.slots), child=node)
+    node: AllocationTree = LeafNode(level=len(bands), channel_id=leaf)
+    for level in reversed(range(len(bands))):
+        node = SplitNode(level=level, band=tuple(bands[level]), child=node)
     return node
 
 

@@ -243,3 +243,63 @@ def per_token_decimals(text: str) -> np.ndarray:
     """One ``float()`` per token, tokens separated by commas and/or
     whitespace. The reader wavemux used before its one-cast reader."""
     return np.array([float(f) for f in text.replace(",", "\n").split()])
+
+
+# ------------------------------------------------------------ band allocation
+
+class _BuddyBand:
+    """Free list of one detail band: (decimation, phase) chunks, split in halves on demand."""
+
+    def __init__(self, level: int, capacity: int) -> None:
+        self.level = level
+        self.capacity = capacity          # units, power of two
+        self.free = [(1, 0)]
+        self.slots: list[dict] = []
+
+    def try_place(self, channel_id: str, units: int) -> bool:
+        if units > self.capacity:
+            return False
+        target = self.capacity // units   # decimation of an exact-fit chunk
+        fitting = [c for c in self.free if c[0] <= target]
+        if not fitting:
+            return False
+        m, p = min(fitting, key=lambda c: c[1])  # lowest phase first
+        self.free.remove((m, p))
+        while m < target:
+            # split (m, p) -> (2m, p) + (2m, p+m); keep the lower phase
+            self.free.append((2 * m, p + m))
+            m *= 2
+        self.slots.append({"channel": channel_id, "decimation": target, "phase": p})
+        return True
+
+
+def buddy_allocation(plan) -> dict:
+    """A valid plan's allocation tree, in the ``tree_to_dict`` form, by a buddy
+    allocator: the allocator wavemux used before its one-pass rule.
+
+    Channels are taken in descending rate (declaration order breaking
+    ties). Each is placed in the finest detail band holding a free buddy
+    chunk of sufficient size, lowest phase first. When no band fits, the
+    pending approximation node is handed to the channel whole if the
+    sizes match, otherwise split one level deeper and the search retried.
+    """
+    order = sorted(plan.channels, key=lambda c: -c.rate)
+    bands: list[_BuddyBand] = []
+    approx_units = 1 << plan.levels
+    leaf = None
+    for ch in order:
+        units = ch.rate // plan.basic_rate
+        while not any(b.try_place(ch.id, units) for b in bands):
+            assert leaf is None, "free capacity exhausted for a valid plan"
+            if approx_units == units:
+                leaf = ch.id
+                break
+            assert approx_units > units, "approximation node smaller than pending channel"
+            bands.append(_BuddyBand(len(bands) + 1, approx_units >> 1))
+            approx_units >>= 1
+    assert leaf is not None, "valid plans always terminate in a leaf"
+    node = {"kind": "leaf", "level": len(bands), "channel": leaf}
+    for band in reversed(bands):
+        node = {"kind": "split", "level": band.level - 1,
+                "band": {"level": band.level, "slots": band.slots}, "child": node}
+    return node

@@ -105,6 +105,18 @@ class TestPlanCommand:
         assert main(["plan", "--plan", write_plan(tmp_path, doc)]) == 2
         assert "plan invalid: NTooLarge: blocklength 1099511627776 exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [10**6, 10**12])
+    def test_huge_depth_exits_2(self, tmp_path, capsys, levels):
+        # 2^J for these J is a number too long to print, or too large to hold
+        doc = dict(J3_PLAN, J=levels)
+        assert main(["plan", "--plan", write_plan(tmp_path, doc)]) == 2
+        assert (f"plan invalid: DepthExceedsBlocklength: levels={levels} needs a blocklength"
+                f" of at least 2^{levels}, got 64") in capsys.readouterr().err
+
+    def test_zero_basic_rate_exits_2(self, tmp_path, capsys):
+        assert main(["plan", "--plan", write_plan(tmp_path, dict(J3_PLAN, R_bps=0))]) == 2
+        assert "plan invalid: IllegalRate: basic rate must be positive, got 0" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["plan", "--plan", str(tmp_path / "nope.json")]) == 3
 
@@ -122,8 +134,13 @@ class TestPlanCommand:
             json.dumps(dict(J3_PLAN, B=True)),
             json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], id=None)]
                             + J3_PLAN["channels"][1:])),
+            json.dumps({k: v for k, v in J3_PLAN.items() if k != "N"}),
+            json.dumps(dict(J3_PLAN, channels=[1, 2])),
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz="x")]
+                            + J3_PLAN["channels"][1:])),
         ],
-        ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id"],
+        ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id",
+             "missing-N", "int-channels", "text-f_m"],
     )
     def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
         path = tmp_path / "plan.json"
@@ -193,6 +210,46 @@ class TestMuxDemuxCommands:
         (payloads / "bravo.bits").unlink()
         assert main(["mux", str(payloads), "--plan", plan_file,
                      "--out", str(tmp_path / "sig.f64")]) == 3
+
+    def test_channels_disagreeing_on_frame_count_exit_3(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=2)
+        bravo = payloads / "bravo.bits"
+        bravo.write_bytes(bravo.read_bytes()[: len(bravo.read_bytes()) // 2])  # one frame of two
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(tmp_path / "sig.f64")]) == 3
+        assert "channels disagree on frame count: {'alpha': 2, 'bravo': 1, 'charlie': 2}" in capsys.readouterr().err
+
+    def test_samples_payload_of_partial_frames_exits_3(self, tmp_path, plan_file, capsys):
+        directory = tmp_path / "payloads"
+        directory.mkdir()
+        for cid, cnt in {"alpha": 32, "bravo": 24, "charlie": 16}.items():  # bravo: 1.5 frames
+            (directory / f"{cid}.samples").write_bytes(np.zeros(cnt, dtype="<f8").tobytes())
+        assert main(["mux", str(directory), "--plan", plan_file, "--out", str(tmp_path / "sig.f64")]) == 3
+        assert "channel 'bravo': 24 samples do not form whole frames of 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/escaped", "nul\0id"])
+    def test_id_that_is_not_a_file_name_exits_2_before_any_file(self, tmp_path, capsys, bad_id):
+        # the last channel's id names a file outside the payload directory or
+        # --out, or none at all; tmp_path holds the files it would read
+        good = write_plan(tmp_path, J3_PLAN, "good.json")
+        channels = J3_PLAN["channels"][:2] + [dict(J3_PLAN["channels"][2], id=bad_id)]
+        plan = write_plan(tmp_path, dict(J3_PLAN, channels=channels), "bad.json")
+        payloads = write_random_payloads(tmp_path, J3_PLAN)
+        frame = bytes((payloads / "charlie.bits").stat().st_size)
+        (tmp_path / "escaped.bits").write_bytes(frame)
+        (payloads / "sub").mkdir()
+        (payloads / "sub" / "escaped.bits").write_bytes(frame)
+        sig = tmp_path / "sig.f64"
+        assert main(["mux", str(payloads), "--plan", good, "--out", str(sig)]) == 0
+        capsys.readouterr()
+        before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+
+        assert main(["mux", str(payloads), "--plan", plan, "--out", str(tmp_path / "sig2.f64")]) == 2
+        assert f"error: ConfigError: channel {bad_id!r}: an id holding a path separator" in capsys.readouterr().err
+        out_dir = tmp_path / "rx"
+        for payload in ("bits", "samples"):
+            assert main(["demux", str(sig), "--plan", plan, "--payload", payload, "--out", str(out_dir)]) == 2
+            assert f"channel {bad_id!r}" in capsys.readouterr().err
+        assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
 
     def test_partial_trailing_frame_exits_3(self, tmp_path, plan_file):
         payloads = write_random_payloads(tmp_path, J3_PLAN, frames=1)
@@ -523,6 +580,18 @@ class TestSpectrumCommand:
         assert lines[0] == "# seed=4 N=128 J=2 wavelet=haar"
         assert lines[1] == "k,mag_tdm,mag_mrdm"
         assert len(lines) == 2 + 128
+
+    def test_zero_frames_exits_2(self, tmp_path, plan_file, capsys):
+        out_csv = tmp_path / "spec.csv"
+        assert main(["spectrum", "--plan", plan_file, "--frames", "0", "--out", str(out_csv)]) == 2
+        assert "--frames must be >= 1, got 0" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, plan_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--plan", plan_file, "--seed", "-1", "--out", str(tmp_path / "spec.csv")])
+        assert exc.value.code == 2
+        assert "seed must be an unsigned 64-bit integer, got -1" in capsys.readouterr().err
 
     def test_wider_scenario(self, tmp_path):
         doc = {

@@ -304,6 +304,13 @@ class TestAssembleFrame:
         with pytest.raises(DuplicateChannel):
             assemble(plan, doubled)
 
+    def test_payload_of_undeclared_channel_rejected(self):
+        plan = four_channel_plan()
+        payloads = [TributaryPayload.from_samples(f"ch{i}", [0.0]) for i in range(4)]
+        payloads.append(TributaryPayload.from_samples("stray", [0.0]))
+        with pytest.raises(MissingChannel, match="payload\\(s\\) for undeclared channel\\(s\\): stray"):
+            assemble(plan, payloads)
+
     def test_digital_payloads_quantized_in_place(self):
         plan = four_channel_plan(b=2)
         payloads = [TributaryPayload.from_bits(f"ch{i}", bits) for i, bits in

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from wavemux import (
     tributary_rates,
     validate_plan,
 )
-from oracles import compositions_by_product_scan, compositions_by_pruned_scan
+from oracles import buddy_allocation, compositions_by_product_scan, compositions_by_pruned_scan
 
 # The nine admissible channel mixes of a three-scale frame, by exhaustive
 # enumeration of 4*n1 + 2*n2 + n3 = 8 (descending lexicographic).
@@ -196,6 +197,19 @@ class TestValidatePlan:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("levels", [10**6, 10**12])
+    def test_huge_depth_fails_without_computing_2_to_the_j(self, levels):
+        # 2^J for these J would be a number of 4300+ digits, or not fit in memory
+        plan = make_plan(64, levels, 64000, 8, [64000, 64000])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DepthExceedsBlocklength, match=f"at least 2\\^{levels}, got 64"):
+                validate_plan(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_depth_must_fit_blocklength(self):
         with pytest.raises(DepthExceedsBlocklength):
             validate_plan(make_plan(4, 3, 64000, 8, [64000] * 8))
@@ -329,6 +343,41 @@ class TestAllocateBands:
                 idx = set(slot_indices(band_len, s.decimation, s.phase).tolist())
                 assert not idx & owned
                 owned |= idx
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+    def test_every_composition_matches_buddy_oracle(self, j):
+        # each composition under two seeded declaration orders
+        rng = random.Random(j)
+        for comp in enumerate_compositions(j):
+            rates = [c.rate for c in expand_composition(comp, 1 << j).channels]
+            for _ in range(2):
+                rng.shuffle(rates)
+                plan = make_plan(1 << j, j, 64000, 8, rates)
+                assert tree_to_dict(allocate_bands(plan)) == buddy_allocation(plan), (comp, rates)
+
+    @pytest.mark.parametrize("j, sample", [(7, 600), (8, 300)])
+    def test_sampled_compositions_match_buddy_oracle(self, j, sample):
+        rng = random.Random(j)
+        for comp in rng.sample(enumerate_compositions(j), sample):
+            rates = [c.rate for c in expand_composition(comp, 1 << j).channels]
+            rng.shuffle(rates)
+            plan = make_plan(1 << j, j, 64000, 8, rates)
+            assert tree_to_dict(allocate_bands(plan)) == buddy_allocation(plan), (comp, rates)
+
+    def test_all_basic_rate_plan_at_j16_in_closed_form(self):
+        # 65536 channels: band l holds 2^(J-l) slots at decimation 2^(J-l) with
+        # phases 0, 1, 2, ... in declaration order, and the last channel is the leaf
+        j = 16
+        tree = allocate_bands(equal_rate_plan(1 << j, j))
+        first = 0
+        for level, slots in slots_by_level(tree).items():
+            width = 1 << (j - level)
+            assert [(s.channel_id, s.decimation, s.phase) for s in slots] == [
+                (f"ch{first + k}", width, k) for k in range(width)
+            ]
+            first += width
+        assert first == (1 << j) - 1
+        assert tree_leaf(tree) == LeafNode(level=j, channel_id=f"ch{first}")
 
     def test_deterministic_serialization(self):
         plan = make_plan(128, 4, 64000, 8, [512000, 128000, 128000, 64000, 64000, 64000, 64000])
