@@ -1,10 +1,14 @@
 """Linear cost: transform time per sample as the frame grows.
 
-The pyramid halves the signal at every level, so a J-level cascade costs
-L * N * (2 - 2^(1-J)) multiply-adds per direction for a filter of
-length L: a fixed amount of arithmetic per sample, whatever the frame
-length N. This demo times db4 analysis and synthesis at J = 6 for
-N = 2^6 .. 2^18 and prints nanoseconds per sample. On small frames the
+The pyramid halves the signal at every level, so a J-level cascade over
+N samples runs levels of N, N/2, ... samples. Each level runs the
+filter pair's paraunitary lattice: for a filter of length L, a level of
+M samples costs (L/2 + 1) * M multiplies, against L * M for the direct
+form, so the cascade costs (L/2 + 1) * (2 - 2^(1-J)) multiplies per
+sample per direction: a fixed amount of arithmetic per sample, whatever
+the frame length N. This demo times db4 analysis and synthesis at J = 6
+for N = 2^6 .. 2^18 and prints nanoseconds per sample beside those
+multiplies per sample, and the time per multiply. On small frames the
 fixed cost of each NumPy call dominates; from a few thousand samples on
 the figure settles, which is the linear cost in numbers. Timings depend
 on the host, so the demo reports them and checks only the round trip.
@@ -31,7 +35,9 @@ DEPTH = 6
 BUDGET_S = 0.05  # timing budget per frame length and direction
 
 db4 = make_wavelet_system("db4")
-macs_per_sample = db4.g.size * (2 - 2.0 ** (1 - DEPTH))
+levels_per_sample = 2 - 2.0 ** (1 - DEPTH)  # N + N/2 + ... over J levels, per sample
+mults_per_sample = (db4.g.size // 2 + 1) * levels_per_sample
+direct_per_sample = db4.g.size * levels_per_sample
 
 
 def best_ns(fn, arg) -> float:
@@ -46,8 +52,10 @@ def best_ns(fn, arg) -> float:
             return best
 
 
-print(f"db4, J = {DEPTH}: {macs_per_sample:.2f} multiply-adds per sample each way")
-print(f"{'N':>8} {'analysis':>12} {'synthesis':>12} {'round trip':>12}   (ns per sample, best call)")
+print(f"db4, J = {DEPTH}: the lattice makes {mults_per_sample:.2f} multiplies per sample each way"
+      f" (the direct form {direct_per_sample:.2f})")
+print(f"{'N':>8} {'analysis':>12} {'synthesis':>12} {'round trip':>12}   (ns per sample, best call)"
+      f"  {'mults':>6} {'ns/mult':>8}")
 rng = np.random.default_rng(6)
 for p in range(6, 19):
     n = 1 << p
@@ -57,7 +65,9 @@ for p in range(6, 19):
     assert err < 1e-12, f"round trip error {err:.1e} at N = {n}"
     t_an = best_ns(lambda v: analyze(v, DEPTH, db4), x) / n
     t_syn = best_ns(lambda f: synthesize(f, db4), frame) / n
-    print(f"{'2^' + str(p):>8} {t_an:12.2f} {t_syn:12.2f} {t_an + t_syn:12.2f}")
+    per_mult = (t_an + t_syn) / (2 * mults_per_sample)
+    print(f"{'2^' + str(p):>8} {t_an:12.2f} {t_syn:12.2f} {t_an + t_syn:12.2f}   {'':18}"
+          f"  {mults_per_sample:6.2f} {per_mult:8.3f}")
 
 print("\nThe per-sample figure falls while fixed call costs are spread over more")
 print("samples, then holds roughly level: doubling the frame doubles the work.")

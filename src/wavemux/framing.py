@@ -4,17 +4,18 @@ A frame travels inside the library as a TDM row: every channel's samples
 concatenated in declaration order, N in all. The plan's frame layout
 (``plan.layout``, compiled once per plan) says where each TDM sample
 sits among the frame's wavelet coefficients. One cascade body runs each
-way, on one row (N,) or a block of rows (frames, N) alike: the transmit
-body scatters the rows through ``layout.index`` into a flat coefficient
-buffer and synthesizes from views of it; the receive body analyzes down
-to the leaf level with every level written into its slice of a flat
-buffer, then gathers once through ``layout.index``. Neither builds a
+way, on one row (N,) or a block of rows (frames, N) alike, each writing
+into its rows of the result: the transmit body scatters the rows
+through ``layout.index`` into the result itself, as a flat coefficient
+buffer, and synthesizes from views of it, which synthesis reads before
+it writes; the receive body analyzes down to the leaf level with every
+level written into its slice of a flat buffer, then gathers once through
+``layout.index`` into the result. Neither builds a
 :class:`CoefficientFrame`; :func:`assemble_frame` and
 :func:`disassemble_frame` remain for callers that want one. When the
 permutation is the identity (``layout.in_order``, as for an octave ladder
 declared finest band first), both bodies skip it: synthesis reads views
-of the rows themselves, and analysis writes straight into the fresh
-array it returns as the rows. At N = 2^18 the scatter and the gather are
+of the rows themselves, and analysis writes straight into the result. At N = 2^18 the scatter and the gather are
 2 MB copies that move every sample to where it already was.
 
 :func:`mux_frames` and :func:`demux_frames` hold the only frame loop.
@@ -419,7 +420,7 @@ def disassemble_frame(frame: CoefficientFrame, layout: FrameLayout) -> np.ndarra
 # ------------------------------------------------------------------ mux/demux
 
 #: Samples per block of frames in :func:`mux_frames`/:func:`demux_frames`.
-#: A block's input, coefficient buffer, periodic extension and level scratch
+#: A block's input, coefficient buffer and the transform's channel scratch
 #: then take under 2 MB, so they stay in a 2 MiB L2 cache. On 64 frames of
 #: 4096 samples (db4, J=6; 2 vCPUs, 2 MiB L2 per core) mux_frames and
 #: demux_frames took 13.5 and 10.1 ms one frame per block, 5.7 and 4.9 ms
@@ -432,39 +433,44 @@ def _permutation(layout: FrameLayout) -> np.ndarray | None:
     return None if layout.in_order else layout.index
 
 
-def _synthesize_rows(layout: FrameLayout, system: FilterPair, rows: np.ndarray, index: np.ndarray | None) -> np.ndarray:
-    """Line frames (..., N) of TDM rows (..., N): one scatter, then synthesis from views of it.
+def _synthesize_rows(layout: FrameLayout, system: FilterPair, rows: np.ndarray, index: np.ndarray | None,
+                     out: np.ndarray) -> np.ndarray:
+    """Line frames (..., N) of TDM rows (..., N), written into contiguous ``out``: one scatter, then synthesis.
 
     ``index`` places the rows' samples in their flat coefficient buffer,
     both read in order: ``layout.index`` for one row, or for a block as
-    :func:`_by_blocks` builds it. With None the rows already are that
+    :func:`_by_blocks` builds it. That buffer is ``out`` itself, which
+    synthesis reads before it writes. With None the rows already are the
     buffer, and synthesis reads views of them.
     """
     flat = rows
     if index is not None:
-        flat = _scratch("coefficients", rows.shape)
+        flat = out
         flat.reshape(-1)[index] = rows.reshape(-1)
-    return _synthesize_levels(*_split(flat, layout.depth), system.g, system.h)
+    return _synthesize_levels(*_split(flat, layout.depth), system, out)
 
 
-def _analyze_rows(layout: FrameLayout, system: FilterPair, frames: np.ndarray, index: np.ndarray | None) -> np.ndarray:
-    """TDM rows (..., N) of line frames (..., N): analysis down to the leaf level, then one gather.
+def _analyze_rows(layout: FrameLayout, system: FilterPair, frames: np.ndarray, index: np.ndarray | None,
+                  out: np.ndarray) -> np.ndarray:
+    """TDM rows (..., N) of line frames (..., N), written into contiguous ``out``: analysis down to the leaf level, then one gather.
 
     With ``index`` None the coefficient buffer already is the rows, and
-    analysis writes straight into the fresh array returned.
+    analysis writes straight into ``out``.
     """
-    flat = np.empty(frames.shape) if index is None else _scratch("coefficients", frames.shape)
+    flat = out if index is None else _scratch("coefficients", frames.shape)
     # a non-finite line sample turns into NaN on the way down; the decoder
     # reports it as OffGrid, so NumPy's warning would only repeat it
     with np.errstate(invalid="ignore", over="ignore"):
-        _analyze_flat(frames, layout.depth, system.g, system.h, flat)
-    if index is None:
-        return flat
-    return flat.reshape(-1)[index].reshape(frames.shape)
+        _analyze_flat(frames, layout.depth, system, flat)
+    if index is not None:
+        # the index is a permutation, so "clip" never clips; the default
+        # "raise" would gather into a temporary first and copy it to out
+        np.take(flat.reshape(-1), index, out=out.reshape(-1), mode="clip")
+    return out
 
 
 def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray) -> np.ndarray:
-    """``body`` run over blocks of ``frames`` (frames, N), into one (frames, N) result."""
+    """``body`` run over blocks of ``frames`` (frames, N), each into its rows of one (frames, N) result."""
     n = frames.shape[1]
     step = max(1, _BLOCK_SAMPLES // n)
     # layout.index for each frame of a block, over the whole block read as
@@ -476,7 +482,7 @@ def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray
     out = np.empty(frames.shape)
     for start in range(0, len(frames), step):
         block = frames[start : start + step]
-        out[start : start + step] = body(layout, system, block, None if index is None else index[: block.size])
+        body(layout, system, block, None if index is None else index[: block.size], out[start : start + step])
     return out
 
 
@@ -509,7 +515,8 @@ def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     # the row lives in reused memory: from 128 KiB up, a fresh one would cost
     # page faults on every call, and only the synthesized line is returned
     row = _finite(plan, _fill_row(plan, payloads, _scratch("row", (plan.blocklength,))))
-    return MuxedSignal(_synthesize_rows(layout, system, row, _permutation(layout)), layout.digest)
+    line = _synthesize_rows(layout, system, row, _permutation(layout), np.empty(plan.blocklength))
+    return MuxedSignal(line, layout.digest)
 
 
 def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -> list[TributaryPayload]:
@@ -530,7 +537,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     if x.ndim != 1 or x.size != plan.blocklength:
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 
-    row = _analyze_rows(layout, system, x, _permutation(layout))
+    row = _analyze_rows(layout, system, x, _permutation(layout), np.empty(plan.blocklength))
     channels = list(zip(plan.channels, layout.bounds))
     if not digital:
         _finite(plan, row, recovered=True)

@@ -130,10 +130,14 @@ def _is_pow2(n: int) -> bool:
 def count_compositions(levels: int) -> int:
     """Number of solutions of sum_j n_j 2^(J-j) = 2^J, without listing them.
 
-    Coin-change dynamic program over the part sizes {1, 2, ..., 2^(J-1)}.
+    Coin-change dynamic program over the part sizes {1, 2, ..., 2^(J-1)};
+    it holds 2^J + 1 counts, so J above ``_MAX_LEVELS`` raises JTooLarge
+    before anything is allocated.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if levels > _MAX_LEVELS:
+        raise JTooLarge(f"levels={levels} exceeds the supported maximum {_MAX_LEVELS}")
     total = 1 << levels
     ways = [0] * (total + 1)
     ways[0] = 1

@@ -18,12 +18,25 @@ sum_n g[n] * h[n+2k] = 0 for every k.
 Builtins cover the 2-tap Haar filter and the 4-tap Daubechies filter
 (two vanishing moments); arbitrary user-supplied scaling coefficients
 are accepted after numeric validation.
+
+The transform does not run the taps themselves but the pair's
+paraunitary lattice: a 2 x 2 first stage and one rotation-like stage per
+further tap pair, compiled once per pair (``FilterPair._lattice``, see
+:func:`_compile_lattice`; :func:`make_wavelet_system` compiles it as part
+of validation). The lattice is exactly paraunitary by construction, so
+a user filter that passes :func:`check_orthonormality` only to its 1e-10
+tolerance runs as the nearest exactly paraunitary lattice, not as its
+own taps: the line differs from the direct form by about the size of
+the residuals, and analysis still inverts synthesis to rounding. A pair
+whose lattice misses it by more than 1e-8 is refused with
+NotOrthonormal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +59,8 @@ _SQRT2 = np.sqrt(2.0)
 
 #: Validation tolerance for user-supplied coefficients.
 DEFAULT_TOLERANCE = 1e-10
+#: Largest miss between a pair and its compiled lattice; see :func:`_compile_lattice`.
+_LATTICE_TOLERANCE = 1e-8
 
 
 def derive_wavelet_filter(g: np.ndarray) -> np.ndarray:
@@ -84,6 +99,11 @@ class FilterPair:
 
     def __len__(self) -> int:
         return self.g.size
+
+    @cached_property
+    def _lattice(self) -> "_Lattice":
+        """The pair compiled into its paraunitary lattice, once; see :func:`_compile_lattice`."""
+        return _compile_lattice(self.g, self.h)
 
 
 @dataclass(frozen=True)
@@ -164,6 +184,101 @@ def check_orthonormality(pair: FilterPair, tol: float = DEFAULT_TOLERANCE) -> li
     return report
 
 
+# ------------------------------------------------------- paraunitary lattice
+
+class _Lattice(NamedTuple):
+    """A filter pair as the stages of its paraunitary lattice, in analysis order.
+
+    Stage 0 maps the even and odd samples (x[2k], x[2k+1]) of a level's
+    input to two channels by the 2 x 2 matrix ``first`` = (a, b, c, d),
+    read row by row; every scale of the later stages is folded into it.
+    Each later stage ``(t, delayed)`` advances channel ``delayed`` by one
+    sample, calls the channels X and Y in order, and forms
+
+        X' = t X + Y,        Y' = X - t Y,
+
+    with |t| <= 1. The last stage's channels are the approximation and the
+    detail. Synthesis runs the stages backwards, each its own inverse up
+    to a scale, and ends with the transpose of ``first``.
+    """
+
+    first: tuple[float, float, float, float]
+    stages: tuple[tuple[float, int], ...]
+
+
+def _lattice_filters(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The (g, h) that a lattice computes, multiplied out stage by stage."""
+    H = np.array(lattice.first, dtype=float).reshape(1, 2, 2)
+    for t, delayed in lattice.stages:
+        grown = np.zeros((len(H) + 1, 2, 2))
+        grown[:-1] = H
+        grown[:, delayed] = np.roll(grown[:, delayed], 1, axis=0)  # advance that channel
+        H = np.array([[t, 1.0], [1.0, -t]]) @ grown
+    return H[:, 0].reshape(-1), H[:, 1].reshape(-1)
+
+
+def _compile_lattice(g: np.ndarray, h: np.ndarray) -> _Lattice:
+    """Factor a paraunitary pair into its lattice (Vaidyanathan & Hoang, 1988).
+
+    The polyphase matrix H(z) = sum_m [[g[2m], g[2m+1]], [h[2m], h[2m+1]]] z^m
+    of a pair of length 2K is a constant 2 x 2 matrix followed by K - 1
+    stages, each a one-sample advance of one row and a scaled reflection
+    [[t, 1], [1, -t]]. One stage is peeled per step, the last first. Its
+    reflection maps the row space onto two rows: one parallel to the
+    columns of the rank-one top coefficient H[K-1], which loses its
+    constant term and is the advanced one, and one orthogonal to them,
+    which loses its top term. The direction comes from whichever end,
+    H[K-1] or H[0], is larger (for the bottom end, orthogonal to its
+    columns), and t from the larger entry of its larger column, so that
+    |t| <= 1 (the reflection swaps the rows' roles when it must). What
+    remains is the first stage, with the scales of the others folded in;
+    it is replaced by the nearest scaled orthogonal matrix, which moves a
+    pair that is orthonormal to rounding by an ulp at most, and one that
+    passes ``check_orthonormality`` only within its tolerance to the
+    exactly paraunitary lattice nearest to it.
+
+    Raises NotOrthonormal when the multiplied-out lattice misses g or h
+    by more than ``_LATTICE_TOLERANCE``, as for a pair that is not
+    paraunitary at all.
+    """
+    g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+    if g.ndim != 1 or g.size < 2 or g.size % 2 or h.shape != g.shape or not np.isfinite([g, h]).all():
+        raise NotOrthonormal(f"no lattice for filters of shapes {g.shape} and {h.shape} with finite taps")
+    H = np.stack([g.reshape(-1, 2), h.reshape(-1, 2)], axis=1)  # H[m] = [[g2m, g2m+1], [h2m, h2m+1]]
+    peeled = []
+    while len(H) > 1:
+        top, bottom = H[-1], H[0]
+        if np.abs(top).sum() >= np.abs(bottom).sum():
+            p = top[:, np.argmax(np.abs(top).sum(axis=0))]
+        else:
+            r = bottom[:, np.argmax(np.abs(bottom).sum(axis=0))]
+            p = np.array([-r[1], r[0]])
+        if not p.any():  # both ends vanish, as for a filter padded with zeros at both ends: any split does
+            p = np.array([0.0, 1.0])
+        t, delayed = (p[0] / p[1], 0) if abs(p[0]) <= abs(p[1]) else (-p[1] / p[0], 1)
+        H = np.array([[t, 1.0], [1.0, -t]]) @ H / (1.0 + t * t)
+        # the advanced row drops its vanished constant term, the other its vanished top
+        H = np.stack([H[1:, r] if r == delayed else H[:-1, r] for r in (0, 1)], axis=1)
+        peeled.append((float(t), delayed))
+    stages = tuple(reversed(peeled))
+    # the nearest scale * Q, Q orthogonal with the sign of det H[0]: the
+    # average of H[0] and its signed adjugate, [[a, b], [-b, a]] for a
+    # rotation and [[a, b], [b, -a]] for a reflection, rescaled
+    (a, b), (c, d) = H[0].tolist()
+    sign = 1.0 if a * d - b * c >= 0 else -1.0
+    a, b = (a + sign * d) / 2, (b - sign * c) / 2
+    norm = float(np.hypot(a, b))
+    if not norm:
+        raise NotOrthonormal("filters are not paraunitary: their lattice has a zero first stage")
+    scale = float(np.prod([1.0 + t * t for t, _ in stages])) ** -0.5 / norm
+    lattice = _Lattice((scale * a, scale * b, -sign * scale * b, sign * scale * a), stages)
+    rebuilt_g, rebuilt_h = _lattice_filters(lattice)
+    miss = max(float(np.max(np.abs(rebuilt_g - g))), float(np.max(np.abs(rebuilt_h - h))))
+    if not miss <= _LATTICE_TOLERANCE:
+        raise NotOrthonormal(f"filters are not paraunitary: their lattice misses them by {miss:.3e}")
+    return lattice
+
+
 def make_wavelet_system(spec: str | np.ndarray, name: str | None = None,
                         tol: float = DEFAULT_TOLERANCE) -> FilterPair:
     """Construct a validated filter pair from a builtin name or raw coefficients.
@@ -171,6 +286,8 @@ def make_wavelet_system(spec: str | np.ndarray, name: str | None = None,
     ``spec`` is either a builtin name ("haar", "db4") or a sequence of
     scaling coefficients. Raw coefficients must have even length and pass
     the orthonormality checks within ``tol``.
+
+    The pair's lattice (:func:`_compile_lattice`) is compiled here too.
 
     Raises UnknownWavelet, OddLength, or NotOrthonormal.
     """
@@ -190,6 +307,7 @@ def make_wavelet_system(spec: str | np.ndarray, name: str | None = None,
             f"coefficients violate {len(report)} constraint(s); worst: "
             f"{worst.constraint} residual {worst.residual:.3e}"
         )
+    pair._lattice  # compiled here, so that a pair the lattice cannot run is refused here
     return pair
 
 

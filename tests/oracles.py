@@ -102,6 +102,36 @@ def naive_synthesize_level(approx, detail, g, h):
     return np.array(y)
 
 
+def direct_analyze_level(x, g, h):
+    """Direct-form periodic correlation along the last axis of ``x`` (..., M):
+    the kernel wavemux used before its lattice. It builds the periodic
+    extension xe[i] = x[i mod M] (i < M + L - 2) and accumulates g[n] and
+    h[n] times each strided slice xe[n : n + M : 2]."""
+    x = np.asarray(x, dtype=float)
+    M = x.shape[-1]
+    xe = np.concatenate([x] * (1 + (len(g) - 2 + M - 1) // M), axis=-1)[..., : M + len(g) - 2]
+    approx = sum(g[n] * xe[..., n : n + M : 2] for n in range(len(g)))
+    detail = sum(h[n] * xe[..., n : n + M : 2] for n in range(len(g)))
+    return approx, detail
+
+
+def direct_synthesize_level(approx, detail, g, h):
+    """Direct-form periodic scatter along the last axis, the exact adjoint of
+    :func:`direct_analyze_level`: g[n] * approx + h[n] * detail is added into
+    each strided slice of a zeroed extension, whose tail past M is then
+    folded back onto the head."""
+    approx, detail = np.asarray(approx, dtype=float), np.asarray(detail, dtype=float)
+    M = 2 * approx.shape[-1]
+    ye = np.zeros(approx.shape[:-1] + (M + len(g) - 2,))
+    for n in range(len(g)):
+        ye[..., n : n + M : 2] += g[n] * approx + h[n] * detail
+    y = ye[..., :M].copy()
+    for start in range(M, ye.shape[-1], M):
+        tail = ye[..., start : start + M]
+        y[..., : tail.shape[-1]] += tail
+    return y
+
+
 def naive_synthesize(details, approx, g, h):
     """Cascade of naive synthesis steps, deepest level first.
 

@@ -824,6 +824,20 @@ class TestReusedMemory:
             oracle_row = disassemble_frame(analyze(frame, layout.depth, system), layout)
             assert rows[k].tobytes() == oracle_row.tobytes()
 
+    @pytest.mark.parametrize("wavelet", ["haar", "db4"])
+    def test_results_own_exactly_their_samples(self, plan, wavelet):
+        # a result that views a larger array keeps all of it alive: a line of N
+        # samples held in N + L - 2 floats cannot reuse the chunk that a
+        # recovered row of N frees, so a caller loop that keeps each result
+        # until the next call made the allocator trim and regrow its heap
+        system = make_wavelet_system(wavelet)
+        line = mux(plan, system, self.payloads(plan, 74, digital=False)).samples
+        rows = demux_frames(plan, system, line)
+        recovered = demux(plan, system, line, digital=False)
+        for array in (line, rows, recovered[0].samples, mux_frames(plan, system, np.stack([rows[0]] * 3))):
+            owner = array if array.base is None else array.base
+            assert owner.nbytes == 8 * self.N * -(-array.size // self.N)
+
     def test_in_order_frames_take_no_fresh_memory_but_their_result(self, db4):
         # counted by tracemalloc, not timed: after one warm-up call, mux
         # allocates only the line and sample-mode demux only the recovered

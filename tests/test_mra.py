@@ -8,9 +8,11 @@ import pytest
 from wavemux import (
     BadDepth,
     CoefficientFrame,
+    FilterPair,
     LengthMismatch,
     LevelPair,
     MalformedFrame,
+    NotOrthonormal,
     OddLength,
     analyze,
     analyze_level,
@@ -18,8 +20,18 @@ from wavemux import (
     synthesize,
     synthesize_level,
 )
+from wavemux import wavelets
 from wavemux.mra import _analyze, _synthesize
-from oracles import naive_analyze_level, naive_synthesize_level, random_scaling_filter
+from wavemux.wavelets import _lattice_filters
+from oracles import (
+    direct_analyze_level,
+    direct_synthesize_level,
+    lattice_scaling_filter,
+    naive_analyze_level,
+    naive_synthesize,
+    naive_synthesize_level,
+    random_scaling_filter,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -65,44 +77,144 @@ class TestAnalyzeLevel:
             np.testing.assert_allclose(lp.detail, d, atol=1e-13)
 
 
+def run_kernels(pair, x, a, d):
+    """The lattice kernel pair along the last axis: analysis of ``x`` (..., M) and
+    synthesis of ``a``, ``d`` (..., M/2), in fresh scratch of the documented size."""
+    lattice = pair._lattice
+    lead, half, e = x.shape[:-1], x.shape[-1] // 2, len(pair._lattice.stages)
+    scratch = tuple(np.full((3,) + lead + (half + e,), np.nan))
+    approx, detail = np.empty((2,) + lead + (half,))
+    _analyze(x, lattice, approx, detail, scratch)
+    scratch[0][..., e : e + half] = a
+    y = np.empty(x.shape)
+    _synthesize(d, lattice, scratch, y)
+    return approx, detail, y
+
+
 class TestKernelMatchesOracle:
-    """The periodic-extension pair against the direct loops in oracles.py."""
+    """The lattice kernel pair against the naive loops and the direct form in oracles.py."""
 
     @staticmethod
     def _check(pair, m, rng):
-        x = rng.standard_normal(m)
-        lp = analyze_level(x, pair)
-        a, d = naive_analyze_level(x, pair.g, pair.h)
-        np.testing.assert_allclose(lp.approx, a, atol=1e-12)
-        np.testing.assert_allclose(lp.detail, d, atol=1e-12)
-        a, d = rng.standard_normal((2, m // 2))
-        got = synthesize_level(LevelPair(a, d), pair)
-        np.testing.assert_allclose(got, naive_synthesize_level(a, d, pair.g, pair.h), atol=1e-12)
-
-        # the same kernels on a (frames, M) block work along the last axis, row by row
-        xs = rng.standard_normal((2, m))
-        extension = np.empty((2, m + pair.g.size - 2))
-        approx, detail, tap, tmp = np.empty((4, 2, m // 2))
-        _analyze(xs, pair.g, pair.h, approx, detail, extension, tmp)
-        a2, d2 = rng.standard_normal((2, 2, m // 2))
-        ys = _synthesize(a2, d2, pair.g, pair.h, extension, tap, tmp)
-        assert ys.shape == (2, m)
-        for k in range(2):
+        # a (frames, M) block works along the last axis, row by row
+        xs = rng.standard_normal((3, m))
+        a2, d2 = rng.standard_normal((2, 3, m // 2))
+        approx, detail, ys = run_kernels(pair, xs, a2, d2)
+        assert ys.shape == (3, m)
+        for k in range(3):
             a, d = naive_analyze_level(xs[k], pair.g, pair.h)
-            np.testing.assert_allclose(approx[k], a, atol=1e-12)
-            np.testing.assert_allclose(detail[k], d, atol=1e-12)
-            np.testing.assert_allclose(ys[k], naive_synthesize_level(a2[k], d2[k], pair.g, pair.h), atol=1e-12)
+            np.testing.assert_allclose(approx[k], a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(detail[k], d, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ys[k], naive_synthesize_level(a2[k], d2[k], pair.g, pair.h), rtol=0, atol=1e-12)
+        a, d = direct_analyze_level(xs, pair.g, pair.h)
+        np.testing.assert_allclose(approx, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(detail, d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ys, direct_synthesize_level(a2, d2, pair.g, pair.h), rtol=0, atol=1e-12)
+        # one frame (M,) gives the block's first row, bit for bit
+        for got, want in zip(run_kernels(pair, xs[0], a2[0], d2[0]), (approx[0], detail[0], ys[0])):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [8, 16, 18, 64, 16384, 32774])
     def test_db4(self, db4, m):
         self._check(db4, m, np.random.default_rng(18))
 
+    @pytest.mark.parametrize("m", [2, 4, 64])
+    def test_haar(self, haar, m):
+        self._check(haar, m, np.random.default_rng(19))
+
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_lattice_filter_longer_than_signal(self, m):
+        # 10 taps, four stages past the first: the extension wraps more than once
         rng = np.random.default_rng(60 + m)
         pair = make_wavelet_system(random_scaling_filter(rng, 5))
         assert pair.g.size == 10
         self._check(pair, m, rng)
+
+
+class TestLattice:
+    """Compiling a pair into its stages, and running every kind of filter through them."""
+
+    def test_builtins_compile_to_one_and_two_stages(self, haar, db4):
+        assert haar._lattice.stages == ()
+        assert len(db4._lattice.stages) == 1
+        for pair in (haar, db4):
+            g, h = _lattice_filters(pair._lattice)
+            np.testing.assert_allclose(g, pair.g, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(h, pair.h, rtol=0, atol=1e-15)
+
+    def test_haar_first_stage_is_the_orthogonal_butterfly(self, haar):
+        a, b, c, d = haar._lattice.first
+        assert a == b == c == -d
+        np.testing.assert_allclose(a, np.sqrt(0.5), rtol=0, atol=1e-16)
+
+    def test_random_filters_match_naive_loops(self):
+        # 200 seeded filters with up to 7 stages; every fourth takes its angles
+        # within 1e-3 of +-pi/2, where the pivot swaps roles to keep |t| <= 1
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for k in range(200):
+            n_angles = int(rng.integers(1, 8))
+            if k % 4 == 0:
+                angles = rng.choice([-np.pi / 2, np.pi / 2], n_angles) + rng.uniform(-1e-3, 1e-3, n_angles)
+                angles[-1] = np.pi / 4 - angles[:-1].sum()
+                pair = make_wavelet_system(lattice_scaling_filter(angles))
+            else:
+                pair = make_wavelet_system(random_scaling_filter(rng, n_angles))
+            assert len(pair._lattice.stages) == n_angles - 1
+            assert all(abs(t) <= 1.0 for t, _ in pair._lattice.stages)
+            m = 2 * int(rng.integers(1, 12))
+            x = rng.standard_normal(m)
+            a2, d2 = rng.standard_normal((2, m // 2))
+            approx, detail, y = run_kernels(pair, x, a2, d2)
+            a, d = naive_analyze_level(x, pair.g, pair.h)
+            worst = max(worst, np.max(np.abs(approx - a)), np.max(np.abs(detail - d)),
+                        np.max(np.abs(y - naive_synthesize_level(a2, d2, pair.g, pair.h))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_cascade_writes_over_its_own_input(self, name):
+        # from level 2 on, each level's outputs overwrite the approximation it reads
+        pair = make_wavelet_system(name)
+        rng = np.random.default_rng(77)
+        for n, depth in ((8, 3), (64, 6), (1024, 5)):
+            x = rng.standard_normal(n)
+            frame = analyze(x, depth, pair)
+            cur = x
+            for level in range(depth):
+                cur, d = naive_analyze_level(cur, pair.g, pair.h)
+                np.testing.assert_allclose(frame.details[level], d, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(frame.approx, cur, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(synthesize(frame, pair), naive_synthesize(frame.details, frame.approx, pair.g, pair.h),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [[0, 0, 1, 1], [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    def test_haar_shifted_or_padded_with_zeros(self, g):
+        # vanishing end taps leave a zero top or bottom coefficient to peel
+        pair = make_wavelet_system(np.array(g) / SQRT2)
+        x = np.random.default_rng(81).standard_normal(8)
+        approx, detail = naive_analyze_level(x, pair.g, pair.h)
+        frame = analyze(x, 1, pair)
+        np.testing.assert_allclose(frame.approx, approx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(frame.details[0], detail, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(synthesize(frame, pair), x, rtol=0, atol=1e-15)
+
+    def test_unvalidated_non_paraunitary_pair_is_refused(self):
+        broken = FilterPair.from_scaling("broken", np.array([0.9, 0.5, 0.1, 0.2]))
+        with pytest.raises(NotOrthonormal, match="not paraunitary"):
+            analyze(np.zeros(8), 1, broken)
+        with pytest.raises(NotOrthonormal, match="not paraunitary"):
+            synthesize_level(LevelPair(np.zeros(4), np.zeros(4)), FilterPair.from_scaling("haarish", [0.9, 0.5]))
+        for g in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(NotOrthonormal, match="not paraunitary"):
+                FilterPair.from_scaling("zero", g)._lattice
+        with pytest.raises(NotOrthonormal, match="no lattice"):
+            FilterPair("odd", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])._lattice
+
+    def test_validation_compiles_the_lattice(self, monkeypatch):
+        # a pair the lattice cannot run is refused where it is validated
+        monkeypatch.setattr(wavelets, "_LATTICE_TOLERANCE", 0.0)
+        with pytest.raises(NotOrthonormal, match="not paraunitary"):
+            make_wavelet_system(random_scaling_filter(np.random.default_rng(5), 4))
 
 
 class TestSynthesizeLevel:

@@ -120,6 +120,17 @@ class TestEnumerateCompositions:
         with pytest.raises(ValueError):
             enumerate_compositions(0)
 
+    def test_count_refuses_a_huge_depth_before_allocating(self):
+        # the dynamic program holds 2^J + 1 counts: terabytes at J = 40
+        tracemalloc.start()
+        try:
+            with pytest.raises(JTooLarge, match="exceeds the supported maximum 16"):
+                count_compositions(40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_solution_counts_frozen(self):
         # frozen from the two independent enumeration oracles agreeing
         known = {1: 1, 2: 3, 3: 9, 4: 35, 5: 201, 6: 1827, 7: 27337, 8: 692003}
