@@ -60,11 +60,11 @@ rng = np.random.default_rng(6)
 for p in range(6, 19):
     n = 1 << p
     x = rng.standard_normal(n)
-    frame = analyze(x, DEPTH, db4)
-    err = np.max(np.abs(synthesize(frame, db4) - x))
+    coeffs = analyze(x, DEPTH, db4)
+    err = np.max(np.abs(synthesize(coeffs, DEPTH, db4) - x))
     assert err < 1e-12, f"round trip error {err:.1e} at N = {n}"
     t_an = best_ns(lambda v: analyze(v, DEPTH, db4), x) / n
-    t_syn = best_ns(lambda f: synthesize(f, db4), frame) / n
+    t_syn = best_ns(lambda c: synthesize(c, DEPTH, db4), coeffs) / n
     per_mult = (t_an + t_syn) / (2 * mults_per_sample)
     print(f"{'2^' + str(p):>8} {t_an:12.2f} {t_syn:12.2f} {t_an + t_syn:12.2f}   {'':18}"
           f"  {mults_per_sample:6.2f} {per_mult:8.3f}")

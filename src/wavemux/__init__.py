@@ -21,8 +21,6 @@ from .errors import (
     DuplicateChannel,
     IllegalRate,
     JTooLarge,
-    LengthMismatch,
-    MalformedFrame,
     MissingChannel,
     NonFiniteSample,
     NotOrthonormal,
@@ -39,17 +37,15 @@ from .errors import (
 from .framing import (
     MuxedSignal,
     TributaryPayload,
-    assemble_frame,
     demux,
     demux_frames,
     dequantize_samples,
-    disassemble_frame,
     mux,
     mux_frames,
     quantize_words,
     tdm_row,
 )
-from .mra import CoefficientFrame, LevelPair, analyze, analyze_level, synthesize, synthesize_level
+from .mra import analyze, synthesize
 from .rateplan import (
     AllocationTree,
     Channel,

@@ -31,21 +31,13 @@ class NotOrthonormal(ConfigError):
 
 
 class OddLength(ConfigError):
-    """A filter or signal that must have even length does not."""
+    """A filter that must have even length does not."""
 
 
 # ------------------------------------------------------------- transforms
 
-class LengthMismatch(DataError):
-    """Approximation and detail arrays of one level differ in length."""
-
-
 class BadDepth(ConfigError):
     """Decomposition depth is not compatible with the signal length."""
-
-
-class MalformedFrame(DataError):
-    """Coefficient arrays do not form a valid dyadic frame."""
 
 
 # -------------------------------------------------------------- rate plans

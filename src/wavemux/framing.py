@@ -3,20 +3,24 @@
 A frame travels inside the library as a TDM row: every channel's samples
 concatenated in declaration order, N in all. The plan's frame layout
 (``plan.layout``, compiled once per plan) says where each TDM sample
-sits among the frame's wavelet coefficients. One cascade body runs each
-way, on one row (N,) or a block of rows (frames, N) alike, each writing
-into its rows of the result: the transmit body scatters the rows
-through ``layout.index`` into the result itself, as a flat coefficient
-buffer, and synthesizes from views of it, which synthesis reads before
-it writes; the receive body analyzes down to the leaf level with every
-level written into its slice of a flat buffer, then gathers once through
-``layout.index`` into the result. Neither builds a
-:class:`CoefficientFrame`; :func:`assemble_frame` and
-:func:`disassemble_frame` remain for callers that want one. When the
-permutation is the identity (``layout.in_order``, as for an octave ladder
-declared finest band first), both bodies skip it: synthesis reads views
-of the rows themselves, and analysis writes straight into the result. At N = 2^18 the scatter and the gather are
-2 MB copies that move every sample to where it already was.
+sits among the frame's wavelet coefficients, which live in the flat
+buffer that ``mra.analyze`` returns and ``mra.synthesize`` takes. One
+body runs each way, on one row (N,) or a block of rows (frames, N) alike,
+each writing into its rows of the result. The transmit body is
+``synthesize(assemble_frame(...))``: the scatter writes the flat
+coefficients into the result itself, which synthesis reads before it
+writes. The receive body is ``disassemble_frame(analyze(...))``: analysis
+down to the leaf level writes every level into its slice of a flat
+buffer, and the gather writes the result. Both bodies look those four
+names up in this module when they run, so a wrapper bound to one of them
+here sees every frame. The scatter and the gather are both
+``np.take`` along the last axis, through ``layout.inverse`` and
+``layout.index``. When the permutation is the identity
+(``layout.in_order``, as for an octave ladder declared finest band
+first), both return their input: synthesis reads the rows themselves,
+and analysis writes straight into the result. At N = 2^18 the scatter
+and the gather would be 2 MB copies that move every sample to where it
+already was.
 
 :func:`mux_frames` and :func:`demux_frames` hold the only frame loop.
 They run the body over blocks of ``_BLOCK_SAMPLES // N`` frames (at
@@ -92,9 +96,7 @@ from .errors import (
     PayloadLengthMismatch,
     ShapeMismatch,
 )
-# analyze and synthesize are unused here, but perfbench/tracing.py wraps them
-# in this module by name
-from .mra import CoefficientFrame, _analyze_flat, _scratch, _split, _synthesize_levels, analyze, synthesize  # noqa: F401
+from .mra import _scratch, analyze, synthesize
 # allocate_bands, plan_digest and validate_plan are unused here, but
 # perfbench/tracing.py wraps them in this module by name
 from .rateplan import FrameLayout, RatePlan, _check_resolution, allocate_bands, plan_digest, validate_plan  # noqa: F401
@@ -400,21 +402,35 @@ def _finite(plan: RatePlan, rows: np.ndarray, *, recovered: bool = False) -> np.
     return rows
 
 
-def assemble_frame(layout: FrameLayout, row: np.ndarray) -> CoefficientFrame:
-    """Scatter one TDM row into its coefficient frame through ``layout.index``."""
-    flat = np.empty(layout.index.size)
-    flat[layout.index] = row
-    return CoefficientFrame(*_split(flat, layout.depth))
+def _permuted(layout: FrameLayout, x, index: np.ndarray | None, out: np.ndarray | None) -> np.ndarray:
+    """``x`` (..., N) gathered through ``index`` along its last axis into ``out``, or ``x`` itself in order."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 1 or x.shape[-1] != layout.index.size:
+        raise ShapeMismatch(f"frames of shape {x.shape} do not fit a layout of {layout.index.size} samples")
+    if layout.in_order:
+        return x
+    # the index is a permutation, so "clip" never clips; the default
+    # "raise" would gather into a temporary first and copy it to out
+    return np.take(x, index, axis=-1, out=out, mode="clip")
 
 
-def disassemble_frame(frame: CoefficientFrame, layout: FrameLayout) -> np.ndarray:
-    """Gather one TDM row out of a coefficient frame; inverse of :func:`assemble_frame`."""
-    if frame.depth != layout.depth or frame.length != layout.index.size:
-        raise ShapeMismatch(
-            f"frame of depth {frame.depth} over {frame.length} samples does not match the"
-            f" allocation: depth {layout.depth} over {layout.index.size}"
-        )
-    return np.concatenate(frame.details + (frame.approx,))[layout.index]
+def assemble_frame(layout: FrameLayout, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Scatter TDM rows (..., N) into their flat coefficients (..., N), written into ``out`` when given.
+
+    TDM sample i of each row becomes coefficient ``layout.index[i]``, by a
+    gather through ``layout.inverse``. An in-order layout returns ``rows``
+    itself and leaves ``out`` untouched.
+    """
+    return _permuted(layout, rows, layout.inverse, out)
+
+
+def disassemble_frame(layout: FrameLayout, coeffs, out: np.ndarray | None = None) -> np.ndarray:
+    """Gather TDM rows (..., N) out of flat coefficients (..., N); the inverse of :func:`assemble_frame`.
+
+    Written into ``out`` when given; an in-order layout returns ``coeffs``
+    itself and leaves ``out`` untouched.
+    """
+    return _permuted(layout, coeffs, layout.index, out)
 
 
 # ------------------------------------------------------------------ mux/demux
@@ -428,61 +444,35 @@ def disassemble_frame(frame: CoefficientFrame, layout: FrameLayout) -> np.ndarra
 _BLOCK_SAMPLES = 1 << 16
 
 
-def _permutation(layout: FrameLayout) -> np.ndarray | None:
-    """``layout.index``, or None when it is the identity and rows need no scatter or gather."""
-    return None if layout.in_order else layout.index
-
-
-def _synthesize_rows(layout: FrameLayout, system: FilterPair, rows: np.ndarray, index: np.ndarray | None,
-                     out: np.ndarray) -> np.ndarray:
+def _transmit(layout: FrameLayout, system: FilterPair, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Line frames (..., N) of TDM rows (..., N), written into contiguous ``out``: one scatter, then synthesis.
 
-    ``index`` places the rows' samples in their flat coefficient buffer,
-    both read in order: ``layout.index`` for one row, or for a block as
-    :func:`_by_blocks` builds it. That buffer is ``out`` itself, which
-    synthesis reads before it writes. With None the rows already are the
-    buffer, and synthesis reads views of them.
+    The scatter writes the flat coefficients into ``out`` itself, which
+    synthesis reads before it writes; in order, synthesis reads the rows.
     """
-    flat = rows
-    if index is not None:
-        flat = out
-        flat.reshape(-1)[index] = rows.reshape(-1)
-    return _synthesize_levels(*_split(flat, layout.depth), system, out)
+    return synthesize(assemble_frame(layout, rows, out), layout.depth, system, out)
 
 
-def _analyze_rows(layout: FrameLayout, system: FilterPair, frames: np.ndarray, index: np.ndarray | None,
-                  out: np.ndarray) -> np.ndarray:
+def _receive(layout: FrameLayout, system: FilterPair, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
     """TDM rows (..., N) of line frames (..., N), written into contiguous ``out``: analysis down to the leaf level, then one gather.
 
-    With ``index`` None the coefficient buffer already is the rows, and
-    analysis writes straight into ``out``.
+    In order, the coefficients already are the rows, and analysis writes
+    straight into ``out``.
     """
-    flat = out if index is None else _scratch("coefficients", frames.shape)
+    flat = out if layout.in_order else _scratch("coefficients", frames.shape)
     # a non-finite line sample turns into NaN on the way down; the decoder
     # reports it as OffGrid, so NumPy's warning would only repeat it
     with np.errstate(invalid="ignore", over="ignore"):
-        _analyze_flat(frames, layout.depth, system, flat)
-    if index is not None:
-        # the index is a permutation, so "clip" never clips; the default
-        # "raise" would gather into a temporary first and copy it to out
-        np.take(flat.reshape(-1), index, out=out.reshape(-1), mode="clip")
-    return out
+        flat = analyze(frames, layout.depth, system, flat)
+    return disassemble_frame(layout, flat, out)
 
 
 def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray) -> np.ndarray:
     """``body`` run over blocks of ``frames`` (frames, N), each into its rows of one (frames, N) result."""
-    n = frames.shape[1]
-    step = max(1, _BLOCK_SAMPLES // n)
-    # layout.index for each frame of a block, over the whole block read as
-    # one 1-D array (NumPy indexes that much faster than the last axis of a
-    # 2-D array); a shorter last block uses its head
-    index = _permutation(layout)
-    if index is not None:
-        index = (index + n * np.arange(min(step, len(frames)))[:, None]).reshape(-1)
+    step = max(1, _BLOCK_SAMPLES // frames.shape[1])
     out = np.empty(frames.shape)
     for start in range(0, len(frames), step):
-        block = frames[start : start + step]
-        body(layout, system, block, None if index is None else index[: block.size], out[start : start + step])
+        body(layout, system, frames[start : start + step], out[start : start + step])
     return out
 
 
@@ -491,7 +481,7 @@ def mux_frames(plan: RatePlan, system: FilterPair, tdm) -> np.ndarray:
     tdm = np.asarray(tdm, dtype=float)
     if tdm.ndim != 2 or len(tdm) < 1 or tdm.shape[1] != plan.blocklength:
         raise ShapeMismatch(f"TDM array of shape {tdm.shape}, plan expects (frames >= 1, {plan.blocklength})")
-    return _by_blocks(_synthesize_rows, plan.layout, system, _finite(plan, tdm)).reshape(-1)
+    return _by_blocks(_transmit, plan.layout, system, _finite(plan, tdm)).reshape(-1)
 
 
 def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
@@ -506,7 +496,7 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
     x = np.asarray(line, dtype=float)
     if x.ndim != 1 or x.size < n or x.size % n:
         raise ShapeMismatch(f"signal has {x.size} samples, not a whole number of {n}-sample frames")
-    return _finite(plan, _by_blocks(_analyze_rows, plan.layout, system, x.reshape(-1, n)), recovered=True)
+    return _finite(plan, _by_blocks(_receive, plan.layout, system, x.reshape(-1, n)), recovered=True)
 
 
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
@@ -515,7 +505,7 @@ def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     # the row lives in reused memory: from 128 KiB up, a fresh one would cost
     # page faults on every call, and only the synthesized line is returned
     row = _finite(plan, _fill_row(plan, payloads, _scratch("row", (plan.blocklength,))))
-    line = _synthesize_rows(layout, system, row, _permutation(layout), np.empty(plan.blocklength))
+    line = _transmit(layout, system, row, np.empty(plan.blocklength))
     return MuxedSignal(line, layout.digest)
 
 
@@ -537,7 +527,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     if x.ndim != 1 or x.size != plan.blocklength:
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 
-    row = _analyze_rows(layout, system, x, _permutation(layout), np.empty(plan.blocklength))
+    row = _receive(layout, system, x, np.empty(plan.blocklength))
     channels = list(zip(plan.channels, layout.bounds))
     if not digital:
         _finite(plan, row, recovered=True)

@@ -48,23 +48,23 @@ block of frames (frames, M) alike. Analysis reads its input only in
 stage 0, before it writes any output, so a level may write over the
 approximation it splits.
 
-The cascades keep a frame's coefficients in one flat (..., N) buffer:
-the detail arrays finest first, then the approximation (Mallat's
-layout, which ``FrameLayout.index`` addresses). ``_analyze_flat`` writes
-each level's outputs straight into their slices of that buffer, and
-``_synthesize_levels`` runs synthesis back up from views of it into an
-output of exactly N floats per frame. Every synthesis level but the
-last writes its output into the scratch array it has just freed, at the
-place where the next level reads its approximation, and every level
-copies its detail into scratch before it writes, so the flat buffer
-may be the output itself. Both cascades work in three scratch arrays of
-N/2 + K - 1 floats per frame, from ``_scratch``: from 128 KiB up,
-memory each thread keeps and reuses call after call, so transforming
-frame after frame of one large size allocates only the synthesized
-signal. :func:`analyze`, :func:`synthesize`,
-:func:`analyze_level` and :func:`synthesize_level` wrap the cascades for
-callers that want a :class:`CoefficientFrame` or a :class:`LevelPair`;
-the frame path in ``framing`` calls them on its flat buffers directly.
+The public pair, :func:`analyze` and :func:`synthesize`, keeps a frame's
+coefficients in one flat (..., N) buffer: the detail arrays finest
+first, then the approximation (Mallat's layout, which
+``FrameLayout.index`` addresses). It is the only coefficient
+representation: the frame path in ``framing`` calls these two names on
+its blocks of rows, and a single frame is the block with no leading
+axis. :func:`analyze` writes each level's outputs straight into their
+slices of the buffer, and :func:`synthesize` runs synthesis back up
+from views of it into an output of exactly N floats per frame. Every
+synthesis level but the last writes its output into the scratch array
+it has just freed, at the place where the next level reads its
+approximation, and every level copies its detail into scratch before it
+writes, so the coefficients may be the output itself. Both cascades
+work in three scratch arrays of N/2 + K - 1 floats per frame, from
+``_scratch``: from 128 KiB up, memory each thread keeps and reuses call
+after call, so transforming frame after frame of one large size into a
+given ``out`` allocates no array of that size.
 
 Level numbering is finest-first: level 1 holds the longest detail array
 (length N/2), level ``depth`` the shortest, and the approximation array
@@ -74,93 +74,14 @@ lives at level ``depth`` as well.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
-from .errors import BadDepth, LengthMismatch, MalformedFrame, OddLength
+from .errors import BadDepth
 from .wavelets import FilterPair, _Lattice
 
-__all__ = [
-    "LevelPair",
-    "CoefficientFrame",
-    "analyze_level",
-    "synthesize_level",
-    "analyze",
-    "synthesize",
-]
-
-
-@dataclass(frozen=True)
-class LevelPair:
-    """Approximation and detail coefficients of one decomposition level."""
-
-    approx: np.ndarray
-    detail: np.ndarray
-
-    def __post_init__(self) -> None:
-        approx = np.asarray(self.approx, dtype=float)
-        detail = np.asarray(self.detail, dtype=float)
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "detail", detail)
-        if approx.ndim != 1 or detail.ndim != 1 or approx.size != detail.size or approx.size < 1:
-            raise LengthMismatch(
-                f"approx and detail must be equal-length 1-D arrays, got {approx.shape} and {detail.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class CoefficientFrame:
-    """Dyadic coefficient tree for one frame of N samples.
-
-    ``details[0]`` is the level-1 (finest) detail array of length N/2,
-    each deeper level halves, and ``approx`` completes the deepest level.
-    Total coefficient count is exactly N.
-    """
-
-    details: tuple[np.ndarray, ...]
-    approx: np.ndarray
-
-    def __post_init__(self) -> None:
-        details = tuple(np.asarray(d, dtype=float) for d in self.details)
-        approx = np.asarray(self.approx, dtype=float)
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "approx", approx)
-
-        if not details:
-            raise MalformedFrame("a frame needs at least one detail level")
-        if any(d.ndim != 1 for d in details) or approx.ndim != 1:
-            raise MalformedFrame("coefficient arrays must be 1-D")
-        top = details[0].size
-        if top < 1:
-            raise MalformedFrame("empty detail array")
-        for j, d in enumerate(details, start=1):
-            want = top >> (j - 1)
-            if want < 1 or (top % (1 << (j - 1))) or d.size != want:
-                raise MalformedFrame(
-                    f"detail level {j} has {d.size} coefficients, expected {top} / 2^{j - 1}"
-                )
-        if approx.size != details[-1].size:
-            raise MalformedFrame(
-                f"approximation has {approx.size} coefficients, expected {details[-1].size}"
-            )
-
-    @property
-    def depth(self) -> int:
-        return len(self.details)
-
-    @property
-    def length(self) -> int:
-        """Number of samples N of the signal this frame represents."""
-        return 2 * self.details[0].size
-
-    def coefficient_count(self) -> int:
-        return sum(d.size for d in self.details) + self.approx.size
-
-    def energy(self) -> float:
-        """Sum of squares over every coefficient in the frame."""
-        return float(sum(np.dot(d, d) for d in self.details) + np.dot(self.approx, self.approx))
+__all__ = ["analyze", "synthesize"]
 
 
 def _analyze(x: np.ndarray, lattice: _Lattice, approx: np.ndarray, detail: np.ndarray, scratch) -> None:
@@ -276,97 +197,64 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _split(flat: np.ndarray, depth: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Views of a flat (..., N) coefficient buffer: (details finest first, approximation)."""
-    n = flat.shape[-1]
-    details = tuple([flat[..., n - 2 * (n >> level) : n - (n >> level)] for level in range(1, depth + 1)])
-    return details, flat[..., n - (n >> depth) :]
-
-
 def _lattice_scratch(pair: FilterPair, lead: tuple[int, ...], half: int) -> tuple[_Lattice, tuple[np.ndarray, ...]]:
     """``pair``'s lattice and the kernels' three scratch arrays for levels of up to ``2 * half`` samples."""
     lattice = pair._lattice
     return lattice, tuple(_scratch("channels", (3,) + lead + (half + len(lattice.stages),)))
 
 
-def _analyze_flat(x: np.ndarray, depth: int, pair: FilterPair, flat: np.ndarray) -> np.ndarray:
-    """Run ``depth`` analysis steps along the last axis of ``x`` (..., N) into ``flat``.
+def _checked(x, depth: int) -> np.ndarray:
+    """``x`` as a float64 array, once ``depth`` levels fit its last axis; BadDepth otherwise."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1] if x.ndim else 0
+    if depth < 1:
+        raise BadDepth(f"depth must be >= 1, got {depth}")
+    if n == 0 or (n >> depth) << depth != n:  # shifts, so that a huge depth costs no huge 2^depth
+        raise BadDepth(f"signal length {n} is not a positive multiple of 2^{depth}")
+    return x
 
-    ``flat`` ends up holding the detail arrays finest first, then the
-    approximation. Each level writes its approximation into the tail of
-    ``flat`` that the next level splits in place, and every level works in
-    the same scratch.
+
+def analyze(x, depth: int, pair: FilterPair, out: np.ndarray | None = None) -> np.ndarray:
+    """Run ``depth`` analysis steps along the last axis of ``x`` (..., N).
+
+    Returns the flat coefficients (..., N): the detail arrays finest
+    first, then the approximation, written into ``out`` when it is given.
+    Each level writes its approximation into the tail of the buffer that
+    the next level splits in place, and every level works in the same
+    scratch. Level 1 reads ``x`` before it writes, so ``out`` may be ``x``
+    itself. Raises BadDepth unless depth >= 1 and 2^depth divides N.
     """
+    x = _checked(x, depth)
     n = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape)
     lattice, scratch = _lattice_scratch(pair, x.shape[:-1], n // 2)
     cur = x
     for level in range(1, depth + 1):
         half = n >> level
-        approx = flat[..., n - half :]
-        _analyze(cur, lattice, approx, flat[..., n - 2 * half : n - half], scratch)
+        approx = out[..., n - half :]
+        _analyze(cur, lattice, approx, out[..., n - 2 * half : n - half], scratch)
         cur = approx
-    return flat
-
-
-def _synthesize_levels(details, approx: np.ndarray, pair: FilterPair, out: np.ndarray) -> np.ndarray:
-    """Run synthesis from the deepest level outward into ``out`` (..., N), which it returns.
-
-    ``details`` lists the detail arrays finest first, as :func:`_split`
-    returns them; the inverse of :func:`_analyze_flat`. Every level
-    copies its inputs into scratch before it writes, and only level 1
-    writes ``out``, so the details and the approximation may be views of
-    ``out`` itself.
-    """
-    lattice, scratch = _lattice_scratch(pair, approx.shape[:-1], details[0].shape[-1])
-    e = len(lattice.stages)
-    scratch[0][..., e : e + approx.shape[-1]] = approx
-    for level in range(len(details), 0, -1):
-        scratch = _synthesize(details[level - 1], lattice, scratch, out if level == 1 else None)
     return out
 
 
-def _check_signal(x: np.ndarray) -> None:
-    if x.ndim != 1 or x.size < 2 or x.size % 2:
-        raise OddLength(f"signal length must be even and >= 2, got {x.size}")
+def synthesize(coeffs, depth: int, pair: FilterPair, out: np.ndarray | None = None) -> np.ndarray:
+    """Rebuild the signals (..., N) from flat coefficients (..., N); the inverse of :func:`analyze`.
 
-
-def analyze_level(x: np.ndarray, pair: FilterPair) -> LevelPair:
-    """Split a signal of even length M into M/2 approximation and detail
-    coefficients by periodic correlation with g and h."""
-    x = np.asarray(x, dtype=float)
-    _check_signal(x)
-    flat = _analyze_flat(x, 1, pair, np.empty(x.size))
-    return LevelPair(flat[x.size // 2 :], flat[: x.size // 2])
-
-
-def synthesize_level(lp: LevelPair, pair: FilterPair) -> np.ndarray:
-    """Merge one level back into a signal of twice the length.
-
-    Exact adjoint of the analysis step, hence the exact inverse for
-    orthonormal pairs: coefficient k scatters tap n onto index
-    (2k + n) mod M.
+    Runs synthesis from the deepest level outward, written into ``out``
+    when it is given. Every level copies its inputs into scratch before it
+    writes, and only level 1 writes ``out``, so ``out`` may be ``coeffs``
+    itself. Inverts :func:`analyze` up to floating-point rounding for
+    orthonormal pairs, and raises BadDepth as it does.
     """
-    return _synthesize_levels((lp.detail,), lp.approx, pair, np.empty(2 * lp.approx.size))
-
-
-def analyze(x: np.ndarray, depth: int, pair: FilterPair) -> CoefficientFrame:
-    """Run ``depth`` analysis steps on the running approximation.
-
-    Requires 2^depth to divide len(x); raises BadDepth otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    if depth < 1:
-        raise BadDepth(f"depth must be >= 1, got {depth}")
-    if x.ndim != 1 or x.size % (1 << depth):
-        raise BadDepth(f"signal length {x.size} is not divisible by 2^{depth}")
-    _check_signal(x)  # so every level down to depth has an even length >= 2
-    return CoefficientFrame(*_split(_analyze_flat(x, depth, pair, np.empty(x.size)), depth))
-
-
-def synthesize(frame: CoefficientFrame, pair: FilterPair) -> np.ndarray:
-    """Rebuild the length-N signal from a coefficient frame.
-
-    Runs synthesis from the deepest node outward; inverts :func:`analyze`
-    up to floating-point rounding for orthonormal pairs.
-    """
-    return _synthesize_levels(frame.details, frame.approx, pair, np.empty(frame.length))
+    coeffs = _checked(coeffs, depth)
+    n = coeffs.shape[-1]
+    if out is None:
+        out = np.empty(coeffs.shape)
+    lattice, scratch = _lattice_scratch(pair, coeffs.shape[:-1], n // 2)
+    e = len(lattice.stages)
+    scratch[0][..., e : e + (n >> depth)] = coeffs[..., n - (n >> depth) :]
+    for level in range(depth, 0, -1):
+        half = n >> level
+        scratch = _synthesize(coeffs[..., n - 2 * half : n - half], lattice, scratch, out if level == 1 else None)
+    return out

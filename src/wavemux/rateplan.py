@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -417,7 +418,10 @@ class FrameLayout:
     the identity, as for an octave ladder declared finest band first, whose
     TDM row already is its coefficient vector. The frame path then
     synthesizes from views of the row and analyzes straight into the
-    returned row, with no scatter or gather.
+    returned row, with no scatter or gather. Otherwise ``inverse`` is the
+    inverse permutation (read-only): flat coefficient ``j`` is TDM sample
+    ``inverse[j]``, so the scatter runs as a gather. In order it is None,
+    and a large layout holds no second index.
     """
 
     composition: Composition
@@ -427,10 +431,18 @@ class FrameLayout:
     bounds: tuple[tuple[int, int], ...]
     index: np.ndarray
     in_order: bool = field(init=False)
+    inverse: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         # a permutation of 0 .. N-1 is the identity exactly when it ascends
-        object.__setattr__(self, "in_order", bool(np.all(self.index[1:] > self.index[:-1])))
+        in_order = bool(np.all(self.index[1:] > self.index[:-1]))
+        inverse = None
+        if not in_order:
+            inverse = np.empty_like(self.index)
+            inverse[self.index] = np.arange(self.index.size)
+            inverse.flags.writeable = False
+        object.__setattr__(self, "in_order", in_order)
+        object.__setattr__(self, "inverse", inverse)
 
 
 def _compile_layout(plan: RatePlan) -> FrameLayout:
@@ -474,6 +486,14 @@ def _whole(value, field: str) -> int:
     return int(value)
 
 
+def _frequency(value) -> float:
+    """float(value) of a JSON number, refusing booleans, NaN and infinities."""
+    frequency = float(value)
+    if isinstance(value, bool) or not math.isfinite(frequency):
+        raise ConfigError(f"malformed plan document: f_m_hz must be a finite number, got {value!r}")
+    return frequency
+
+
 def _channel_id(value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"malformed plan document: channel id must be a string, got {value!r}")
@@ -484,7 +504,7 @@ def plan_from_dict(data: dict) -> RatePlan:
     try:
         channels = tuple(
             Channel(_channel_id(c["id"]), _whole(c["rate_bps"], "rate_bps"),
-                    float(c["f_m_hz"]) if "f_m_hz" in c else None)
+                    _frequency(c["f_m_hz"]) if "f_m_hz" in c else None)
             for c in data["channels"]
         )
         return RatePlan(

@@ -181,11 +181,6 @@ def slot_walk_coefficients(tree, samples_by_id, n: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def flatten_frame(details, approx) -> np.ndarray:
-    """Concatenate frame blocks in the dense-matrix column order."""
-    return np.concatenate([np.asarray(d, dtype=float) for d in details] + [np.asarray(approx, dtype=float)])
-
-
 # -------------------------------------------------------------- dsp helpers
 
 def naive_dft_magnitude(x) -> np.ndarray:

@@ -28,12 +28,10 @@ from wavemux import (
     tree_to_dict,
 )
 from wavemux.cli import main
-from wavemux.mra import CoefficientFrame
 from oracles import (
     compositions_by_product_scan,
     compositions_by_pruned_scan,
     dense_synthesis_matrix,
-    flatten_frame,
 )
 
 EXPECTED_J3 = [
@@ -106,7 +104,7 @@ def test_c3_perfect_reconstruction_sweep():
             for depth in (1, 2, 3, 4, 5):
                 for _ in range(100):
                     x = rng.standard_normal(n)
-                    err = float(np.max(np.abs(synthesize(analyze(x, depth, pair), pair) - x)))
+                    err = float(np.max(np.abs(synthesize(analyze(x, depth, pair), depth, pair) - x)))
                     worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"worst reconstruction error {worst:.3e}"
@@ -244,13 +242,10 @@ def test_c8_dense_matrix_synthesis_oracle():
     for n in (2, 4, 8, 16):
         for depth in range(1, n.bit_length()):
             matrix = dense_synthesis_matrix(n, depth, pair.g, pair.h)
-            sizes = [n >> j for j in range(1, depth + 1)]
-            for _ in range(20):
-                details = [rng.standard_normal(s) for s in sizes]
-                approx = rng.standard_normal(n >> depth)
-                frame = CoefficientFrame(tuple(details), approx)
-                direct = synthesize(frame, pair)
-                via_matrix = matrix @ flatten_frame(details, approx)
-                assert np.max(np.abs(direct - via_matrix)) <= 1e-12
-                cases += 1
+            # 20 flat coefficient vectors, one per row: synthesized as one block
+            coeffs = rng.standard_normal((20, n))
+            direct = synthesize(coeffs, depth, pair)
+            via_matrix = coeffs @ matrix.T
+            assert np.max(np.abs(direct - via_matrix)) <= 1e-12
+            cases += len(coeffs)
     _pass(8, f"{cases} random frames match the dense operator at 1e-12")

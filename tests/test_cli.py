@@ -138,9 +138,16 @@ class TestPlanCommand:
             json.dumps(dict(J3_PLAN, channels=[1, 2])),
             json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz="x")]
                             + J3_PLAN["channels"][1:])),
+            # f_m_hz true would read as 1.0 Hz, which a plan of B = 8 at 16 bit/s accepts
+            json.dumps({"N": 8, "J": 1, "R_bps": 16, "B": 8,
+                        "channels": [{"id": "a", "rate_bps": 16, "f_m_hz": True}, {"id": "b", "rate_bps": 16}]}),
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz=float("nan"))]
+                            + J3_PLAN["channels"][1:])),
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz=float("inf"))]
+                            + J3_PLAN["channels"][1:])),
         ],
         ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id",
-             "missing-N", "int-channels", "text-f_m"],
+             "missing-N", "int-channels", "text-f_m", "bool-f_m", "nan-f_m", "inf-f_m"],
     )
     def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
         path = tmp_path / "plan.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import tracemalloc
@@ -23,22 +24,22 @@ from wavemux import (
     RatePlan,
     ShapeMismatch,
     TributaryPayload,
-    assemble_frame,
     NonFiniteSample,
+    analyze,
     demux,
     demux_frames,
     dequantize_samples,
-    disassemble_frame,
     enumerate_compositions,
     make_wavelet_system,
     mux,
     mux_frames,
     quantize_words,
     random_payloads,
+    synthesize,
     tdm_row,
 )
-from wavemux.framing import _dequantize_packed, _group, _quantize_packed
-from wavemux.mra import CoefficientFrame, analyze, synthesize
+from wavemux.cli import main
+from wavemux.framing import _dequantize_packed, _group, _quantize_packed, assemble_frame, disassemble_frame
 from oracles import (
     OracleOffGrid,
     bit_array_dequantize,
@@ -250,6 +251,7 @@ class TestPackedCodec:
 
 
 def assemble(plan, payloads):
+    """One frame of payloads as its flat coefficients: details finest first, then the approximation."""
     return assemble_frame(plan.layout, tdm_row(plan, payloads))
 
 
@@ -264,10 +266,8 @@ class TestAssembleFrame:
         payloads = [
             TributaryPayload.from_samples(f"ch{i}", [v]) for i, v in enumerate((a, b, c, d))
         ]
-        frame = assemble(plan, payloads)
-        np.testing.assert_allclose(frame.details[0], [a, b])  # phases 0, 1
-        np.testing.assert_allclose(frame.details[1], [c])
-        np.testing.assert_allclose(frame.approx, [d])
+        # level-1 detail at phases 0 and 1, then the level-2 detail, then the approximation
+        np.testing.assert_allclose(assemble(plan, payloads), [a, b, c, d])
 
     def test_leaf_channel_samples_copied_verbatim(self, haar):
         plan = make_plan(64, 3, [256000, 256000])
@@ -281,9 +281,9 @@ class TestAssembleFrame:
                 TributaryPayload.from_samples("ch1", leaf),
             ],
         )
-        assert frame.depth == 1
-        np.testing.assert_array_equal(frame.approx, leaf)
-        np.testing.assert_array_equal(frame.details[0], fast)
+        assert plan.layout.depth == 1
+        np.testing.assert_array_equal(frame[32:], leaf)
+        np.testing.assert_array_equal(frame[:32], fast)
 
     def test_short_payload_rejected(self):
         plan = four_channel_plan()
@@ -315,10 +315,7 @@ class TestAssembleFrame:
         plan = four_channel_plan(b=2)
         payloads = [TributaryPayload.from_bits(f"ch{i}", bits) for i, bits in
                     enumerate(("00", "01", "10", "11"))]
-        frame = assemble(plan, payloads)
-        np.testing.assert_allclose(frame.details[0], [-0.75, -0.25])
-        np.testing.assert_allclose(frame.details[1], [0.25])
-        np.testing.assert_allclose(frame.approx, [0.75])
+        np.testing.assert_allclose(assemble(plan, payloads), [-0.75, -0.25, 0.25, 0.75])
 
     def test_samples_must_be_one_dimensional(self, haar):
         # a (1, 1) array holds the right number of samples but is not a sample block
@@ -336,7 +333,7 @@ class TestDisassembleFrame:
         plan = four_channel_plan()
         values = (0.1, 0.2, 0.3, 0.4)
         payloads = [TributaryPayload.from_samples(f"ch{i}", [v]) for i, v in enumerate(values)]
-        row = disassemble_frame(assemble(plan, payloads), plan.layout)
+        row = disassemble_frame(plan.layout, assemble(plan, payloads))
         assert [(cid, r.tolist()) for cid, r in channel_rows(plan, row).items()] == [
             (f"ch{i}", [v]) for i, v in enumerate(values)
         ]
@@ -348,21 +345,41 @@ class TestDisassembleFrame:
             [TributaryPayload.from_samples("ch0", np.arange(32.0) / 32.0)]
             + [TributaryPayload.from_samples(f"ch{i}", np.full(8, i / 8.0)) for i in (1, 2, 3, 4)],
         )
-        # ch2 sits at band-2 decimation 2 phase 1: indices 1, 3, 5, ...
-        np.testing.assert_array_equal(frame.details[1][1::2], np.full(8, 2 / 8.0))
-        recovered = channel_rows(plan, disassemble_frame(frame, plan.layout))
+        # ch2 sits at band-2 decimation 2 phase 1: indices 1, 3, 5, ... of flat[32:48]
+        np.testing.assert_array_equal(frame[32:48][1::2], np.full(8, 2 / 8.0))
+        recovered = channel_rows(plan, disassemble_frame(plan.layout, frame))
         np.testing.assert_array_equal(recovered["ch2"], np.full(8, 2 / 8.0))
 
     def test_zero_frame_gives_zero_payloads(self):
         plan = four_channel_plan()
-        frame = CoefficientFrame((np.zeros(2), np.zeros(1)), np.zeros(1))
-        assert not disassemble_frame(frame, plan.layout).any()
+        assert not disassemble_frame(plan.layout, np.zeros(4)).any()
 
     def test_depth_mismatch_rejected(self):
-        plan = four_channel_plan()
-        frame = CoefficientFrame((np.zeros(2),), np.zeros(2))  # depth 1, tree wants 2
-        with pytest.raises(ShapeMismatch):
-            disassemble_frame(frame, plan.layout)
+        # flat coefficients carry no depth: what no longer fits the layout is
+        # a frame of another length, which "clip" would otherwise read silently
+        for plan in (four_channel_plan(), make_plan(64, 3, [256000] + [64000] * 4)):
+            for bad in (np.zeros(2 * plan.blocklength), np.zeros((3, plan.blocklength // 2)), np.float64(0.0)):
+                for permute in (assemble_frame, disassemble_frame):
+                    with pytest.raises(ShapeMismatch, match="do not fit a layout of"):
+                        permute(plan.layout, bad)
+
+    @pytest.mark.parametrize("in_order", [False, True], ids=["permuted", "in-order"])
+    def test_block_round_trip(self, in_order):
+        plan = ladder_plan(64, 3) if in_order else make_plan(64, 3, [256000] + [64000] * 4)
+        layout = plan.layout
+        assert layout.in_order == in_order
+        rows = np.random.default_rng(8).uniform(-1, 1, (5, 64))
+        flat = assemble_frame(layout, rows)
+        assert flat.shape == (5, 64)
+        for k in range(5):  # each frame against a scatter by fancy indexing
+            want = np.empty(64)
+            want[layout.index] = rows[k]
+            assert flat[k].tobytes() == want.tobytes()
+        out = np.empty((5, 64))
+        back = disassemble_frame(layout, flat, out)
+        assert back.tobytes() == rows.tobytes()
+        # in order both return their input and leave ``out`` alone; else they write ``out``
+        assert (flat is rows and back is flat) if in_order else (back is out)
 
 
 class TestMux:
@@ -582,6 +599,16 @@ class TestFrameLayout:
         with pytest.raises(ValueError):
             four_channel_plan().layout.index[0] = 1
 
+    def test_inverse_is_read_only_or_none_in_order(self):
+        layout = make_plan(64, 3, [256000] + [64000] * 4).layout
+        assert not layout.in_order
+        assert np.array_equal(layout.inverse[layout.index], np.arange(64))
+        with pytest.raises(ValueError):
+            layout.inverse[0] = 1
+        # an in-order layout holds no second index
+        assert ladder_plan(1 << 10, 6).layout.inverse is None
+        assert four_channel_plan().layout.in_order and four_channel_plan().layout.inverse is None
+
     def test_in_order_when_the_index_is_the_identity(self):
         # an octave ladder declared finest band first is already in Mallat's order
         assert ladder_plan(1 << 10, 6).layout.in_order
@@ -799,11 +826,12 @@ class TestReusedMemory:
             else:
                 assert got.samples.tobytes() == kept.tobytes()
                 assert payload.samples.tobytes() == want.tobytes()  # the caller's input is untouched
-        # the public route through a CoefficientFrame, bit for bit
-        oracle_line = synthesize(assemble_frame(layout, tdm_row(plan, first)), system)
-        assert line.samples.tobytes() == oracle_line.tobytes()
+        # the transform of a row scattered and gathered by fancy indexing, bit for bit
+        flat = np.empty(self.N)
+        flat[layout.index] = tdm_row(plan, first)
+        assert line.samples.tobytes() == synthesize(flat, layout.depth, system).tobytes()
         if not digital:
-            oracle_row = disassemble_frame(analyze(line.samples, layout.depth, system), layout)
+            oracle_row = analyze(line.samples, layout.depth, system)[layout.index]
             assert np.concatenate([p.samples for p in back]).tobytes() == oracle_row.tobytes()
 
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
@@ -820,9 +848,10 @@ class TestReusedMemory:
         assert line.tobytes() == kept_line.tobytes()
         assert rows.tobytes() == kept_rows.tobytes()
         for k, frame in enumerate(line.reshape(3, self.N)):
-            assert frame.tobytes() == synthesize(assemble_frame(layout, first[k]), system).tobytes()
-            oracle_row = disassemble_frame(analyze(frame, layout.depth, system), layout)
-            assert rows[k].tobytes() == oracle_row.tobytes()
+            flat = np.empty(self.N)
+            flat[layout.index] = first[k]
+            assert frame.tobytes() == synthesize(flat, layout.depth, system).tobytes()
+            assert rows[k].tobytes() == analyze(frame, layout.depth, system)[layout.index].tobytes()
 
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
     def test_results_own_exactly_their_samples(self, plan, wavelet):
@@ -860,3 +889,56 @@ class TestReusedMemory:
         size = 8 * n
         assert mux_peak <= 1.05 * size
         assert demux_peak <= 1.15 * size
+
+
+class TestTransformNames:
+    """Every frame path calls the four transform names, looked up in wavemux.framing when it runs.
+
+    A wrapper bound to one of those names there (as a tracer does) then
+    sees every frame; a path that bypassed them would hide its work.
+    """
+
+    NAMES = ("analyze", "synthesize", "assemble_frame", "disassemble_frame")
+    PLAN = {"N": 64, "J": 3, "R_bps": 64000, "B": 8,
+            "channels": [{"id": "data", "rate_bps": 256000}] + [{"id": f"v{k}", "rate_bps": 64000} for k in range(4)]}
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _name=name, _fn=getattr(wavemux.framing, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(wavemux.framing, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("in_order", [False, True], ids=["permuted", "in-order"])
+    def test_library_calls_reach_every_name(self, db4, counts, in_order):
+        plan = ladder_plan(64, 3) if in_order else make_plan(64, 3, [256000] + [64000] * 4)
+        assert plan.layout.in_order == in_order
+        payloads = random_payloads(plan, 5)
+        line = mux(plan, db4, payloads)
+        assert counts == {"analyze": 0, "synthesize": 1, "assemble_frame": 1, "disassemble_frame": 0}
+        assert [p.bits for p in demux(plan, db4, line)] == [p.bits for p in payloads]
+        assert counts == dict.fromkeys(self.NAMES, 1)
+        tdm = np.random.default_rng(6).uniform(-1, 1, (3, 64))  # one block
+        rows = demux_frames(plan, db4, mux_frames(plan, db4, tdm))
+        assert np.max(np.abs(rows - tdm)) <= 1e-10
+        assert counts == dict.fromkeys(self.NAMES, 2)
+
+    def test_cli_mux_and_demux_reach_every_name(self, tmp_path, counts):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(self.PLAN))
+        payloads, recovered, line = tmp_path / "payloads", tmp_path / "recovered", tmp_path / "line.f64"
+        payloads.mkdir()
+        rng = np.random.default_rng(7)
+        sent = {}
+        for ch, samples in zip(self.PLAN["channels"], (32, 8, 8, 8, 8)):
+            sent[ch["id"]] = rng.bytes(2 * samples)  # two frames of 8-bit words
+            (payloads / f"{ch['id']}.bits").write_bytes(sent[ch["id"]])
+        common = ["--plan", str(plan), "--wavelet", "db4"]
+        assert main(["mux", str(payloads), *common, "--out", str(line)]) == 0
+        assert counts == {"analyze": 0, "synthesize": 1, "assemble_frame": 1, "disassemble_frame": 0}
+        assert main(["demux", str(line), *common, "--out", str(recovered)]) == 0
+        assert counts == dict.fromkeys(self.NAMES, 1)
+        assert {cid: (recovered / f"{cid}.bits").read_bytes() for cid in sent} == sent

@@ -7,18 +7,11 @@ import pytest
 
 from wavemux import (
     BadDepth,
-    CoefficientFrame,
     FilterPair,
-    LengthMismatch,
-    LevelPair,
-    MalformedFrame,
     NotOrthonormal,
-    OddLength,
     analyze,
-    analyze_level,
     make_wavelet_system,
     synthesize,
-    synthesize_level,
 )
 from wavemux import wavelets
 from wavemux.mra import _analyze, _synthesize
@@ -36,6 +29,25 @@ from oracles import (
 SQRT2 = np.sqrt(2.0)
 
 
+def split(flat, depth):
+    """Views of flat coefficients (..., N): (details finest first, approximation)."""
+    n = flat.shape[-1]
+    details = [flat[..., n - 2 * (n >> level) : n - (n >> level)] for level in range(1, depth + 1)]
+    return details, flat[..., n - (n >> depth) :]
+
+
+def level_pair(x, pair):
+    """(approximation, detail) of one analysis level of ``x``."""
+    flat = analyze(x, 1, pair)
+    half = flat.shape[-1] // 2
+    return flat[..., half:], flat[..., :half]
+
+
+def one_level_synthesis(approx, detail, pair):
+    """One synthesis level: the flat coefficients are the detail, then the approximation."""
+    return synthesize(np.concatenate([detail, approx], axis=-1), 1, pair)
+
+
 @pytest.fixture(scope="module")
 def haar():
     return make_wavelet_system("haar")
@@ -48,33 +60,35 @@ def db4():
 
 class TestAnalyzeLevel:
     def test_constant_signal_has_zero_detail(self, haar):
-        lp = analyze_level([1.0, 1.0], haar)
-        np.testing.assert_allclose(lp.approx, [SQRT2], atol=1e-15)
-        np.testing.assert_allclose(lp.detail, [0.0], atol=1e-15)
+        approx, detail = level_pair([1.0, 1.0], haar)
+        np.testing.assert_allclose(approx, [SQRT2], atol=1e-15)
+        np.testing.assert_allclose(detail, [0.0], atol=1e-15)
 
     def test_unit_impulse_by_hand(self, haar):
         # approx[k] = sum_n g[n] x[(2k+n) mod 4] worked by hand
-        lp = analyze_level([1.0, 0.0, 0.0, 0.0], haar)
-        np.testing.assert_allclose(lp.approx, [1 / SQRT2, 0.0], atol=1e-15)
-        np.testing.assert_allclose(lp.detail, [1 / SQRT2, 0.0], atol=1e-15)
+        approx, detail = level_pair([1.0, 0.0, 0.0, 0.0], haar)
+        np.testing.assert_allclose(approx, [1 / SQRT2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(detail, [1 / SQRT2, 0.0], atol=1e-15)
 
     def test_short_ramp_by_hand(self, haar):
-        lp = analyze_level([3.0, 1.0, 2.0, 2.0], haar)
-        np.testing.assert_allclose(lp.approx, [2 * SQRT2, 2 * SQRT2], atol=1e-14)
-        np.testing.assert_allclose(lp.detail, [SQRT2, 0.0], atol=1e-14)
+        approx, detail = level_pair([3.0, 1.0, 2.0, 2.0], haar)
+        np.testing.assert_allclose(approx, [2 * SQRT2, 2 * SQRT2], atol=1e-14)
+        np.testing.assert_allclose(detail, [SQRT2, 0.0], atol=1e-14)
 
     def test_odd_length_rejected(self, haar):
-        with pytest.raises(OddLength):
-            analyze_level([1.0, 2.0, 3.0], haar)
+        with pytest.raises(BadDepth, match="signal length 3 is not a positive multiple of 2"):
+            analyze([1.0, 2.0, 3.0], 1, haar)
+        with pytest.raises(BadDepth, match="signal length 3 is not a positive multiple of 2"):
+            synthesize([1.0, 2.0, 3.0], 1, haar)
 
     def test_matches_naive_loops_even_when_filter_longer_than_signal(self, db4):
         rng = np.random.default_rng(17)
         for m in (2, 4, 6, 16):
             x = rng.standard_normal(m)
-            lp = analyze_level(x, db4)
+            approx, detail = level_pair(x, db4)
             a, d = naive_analyze_level(x, db4.g, db4.h)
-            np.testing.assert_allclose(lp.approx, a, atol=1e-13)
-            np.testing.assert_allclose(lp.detail, d, atol=1e-13)
+            np.testing.assert_allclose(approx, a, atol=1e-13)
+            np.testing.assert_allclose(detail, d, atol=1e-13)
 
 
 def run_kernels(pair, x, a, d):
@@ -178,13 +192,14 @@ class TestLattice:
         rng = np.random.default_rng(77)
         for n, depth in ((8, 3), (64, 6), (1024, 5)):
             x = rng.standard_normal(n)
-            frame = analyze(x, depth, pair)
+            flat = analyze(x, depth, pair)
+            details, approx = split(flat, depth)
             cur = x
             for level in range(depth):
                 cur, d = naive_analyze_level(cur, pair.g, pair.h)
-                np.testing.assert_allclose(frame.details[level], d, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(frame.approx, cur, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(synthesize(frame, pair), naive_synthesize(frame.details, frame.approx, pair.g, pair.h),
+                np.testing.assert_allclose(details[level], d, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(approx, cur, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(synthesize(flat, depth, pair), naive_synthesize(details, approx, pair.g, pair.h),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("g", [[0, 0, 1, 1], [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
@@ -193,17 +208,17 @@ class TestLattice:
         pair = make_wavelet_system(np.array(g) / SQRT2)
         x = np.random.default_rng(81).standard_normal(8)
         approx, detail = naive_analyze_level(x, pair.g, pair.h)
-        frame = analyze(x, 1, pair)
-        np.testing.assert_allclose(frame.approx, approx, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(frame.details[0], detail, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(synthesize(frame, pair), x, rtol=0, atol=1e-15)
+        flat = analyze(x, 1, pair)
+        np.testing.assert_allclose(flat[4:], approx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(flat[:4], detail, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(synthesize(flat, 1, pair), x, rtol=0, atol=1e-15)
 
     def test_unvalidated_non_paraunitary_pair_is_refused(self):
         broken = FilterPair.from_scaling("broken", np.array([0.9, 0.5, 0.1, 0.2]))
         with pytest.raises(NotOrthonormal, match="not paraunitary"):
             analyze(np.zeros(8), 1, broken)
         with pytest.raises(NotOrthonormal, match="not paraunitary"):
-            synthesize_level(LevelPair(np.zeros(4), np.zeros(4)), FilterPair.from_scaling("haarish", [0.9, 0.5]))
+            synthesize(np.zeros(8), 1, FilterPair.from_scaling("haarish", [0.9, 0.5]))
         for g in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
             with pytest.raises(NotOrthonormal, match="not paraunitary"):
                 FilterPair.from_scaling("zero", g)._lattice
@@ -219,71 +234,106 @@ class TestLattice:
 
 class TestSynthesizeLevel:
     def test_constant_inverse(self, haar):
-        np.testing.assert_allclose(
-            synthesize_level(LevelPair([SQRT2], [0.0]), haar), [1.0, 1.0], atol=1e-15
-        )
+        np.testing.assert_allclose(one_level_synthesis([SQRT2], [0.0], haar), [1.0, 1.0], atol=1e-15)
 
     def test_short_ramp_inverse(self, haar):
-        lp = LevelPair([2 * SQRT2, 2 * SQRT2], [SQRT2, 0.0])
-        np.testing.assert_allclose(synthesize_level(lp, haar), [3.0, 1.0, 2.0, 2.0], atol=1e-14)
+        got = one_level_synthesis([2 * SQRT2, 2 * SQRT2], [SQRT2, 0.0], haar)
+        np.testing.assert_allclose(got, [3.0, 1.0, 2.0, 2.0], atol=1e-14)
 
     def test_zeros_stay_zeros(self, db4):
-        lp = LevelPair(np.zeros(8), np.zeros(8))
-        np.testing.assert_array_equal(synthesize_level(lp, db4), np.zeros(16))
+        np.testing.assert_array_equal(synthesize(np.zeros(16), 1, db4), np.zeros(16))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatch):
-            LevelPair([1.0, 2.0], [1.0])
+    def test_length_mismatch_rejected(self, haar):
+        # three coefficients cannot split into an approximation and a detail of one length
+        with pytest.raises(BadDepth, match="signal length 3 is not a positive multiple of 2"):
+            synthesize(np.zeros(3), 1, haar)
+        with pytest.raises(BadDepth, match="signal length 0 "):
+            synthesize(np.zeros((2, 0)), 1, haar)
 
     def test_matches_naive_loops(self, db4):
         rng = np.random.default_rng(19)
         for half in (1, 2, 3, 8):
             a = rng.standard_normal(half)
             d = rng.standard_normal(half)
-            got = synthesize_level(LevelPair(a, d), db4)
+            got = one_level_synthesis(a, d, db4)
             np.testing.assert_allclose(got, naive_synthesize_level(a, d, db4.g, db4.h), atol=1e-13)
 
 
 class TestCascade:
     def test_constant_signal_depth_two(self, haar):
-        frame = analyze([1.0, 1.0, 1.0, 1.0], 2, haar)
-        np.testing.assert_allclose(frame.details[0], [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(frame.details[1], [0.0], atol=1e-15)
-        np.testing.assert_allclose(frame.approx, [2.0], atol=1e-15)
+        # flat layout: level-1 detail (2), level-2 detail (1), approximation (1)
+        np.testing.assert_allclose(analyze([1.0, 1.0, 1.0, 1.0], 2, haar), [0.0, 0.0, 0.0, 2.0], atol=1e-15)
 
     def test_half_constant_collects_in_approximation(self, haar):
-        frame = analyze([0.5, 0.5, 0.5, 0.5], 2, haar)
-        np.testing.assert_allclose(frame.approx, [1.0], atol=1e-15)
-        assert frame.energy() == pytest.approx(1.0)
+        flat = analyze([0.5, 0.5, 0.5, 0.5], 2, haar)
+        np.testing.assert_allclose(flat[-1:], [1.0], atol=1e-15)
+        assert np.dot(flat, flat) == pytest.approx(1.0)
 
     def test_depth_one_equals_single_level(self, db4):
         x = np.random.default_rng(23).standard_normal(32)
-        frame = analyze(x, 1, db4)
-        lp = analyze_level(x, db4)
-        np.testing.assert_array_equal(frame.details[0], lp.detail)
-        np.testing.assert_array_equal(frame.approx, lp.approx)
+        # depth 1 is the first level of a deeper cascade, bit for bit
+        flat, deep = analyze(x, 1, db4), analyze(x, 3, db4)
+        assert flat[:16].tobytes() == deep[:16].tobytes()
+        assert analyze(flat[16:], 2, db4).tobytes() == deep[16:].tobytes()
 
     def test_deep_approximation_unit_synthesizes_to_constant(self, haar):
-        frame = CoefficientFrame((np.zeros(2), np.zeros(1)), np.array([1.0]))
-        np.testing.assert_allclose(synthesize(frame, haar), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(synthesize([0.0, 0.0, 0.0, 1.0], 2, haar), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_deep_detail_unit_synthesizes_to_square_wave(self, haar):
-        frame = CoefficientFrame((np.zeros(2), np.array([1.0])), np.array([0.0]))
-        np.testing.assert_allclose(synthesize(frame, haar), [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+        np.testing.assert_allclose(synthesize([0.0, 0.0, 1.0, 0.0], 2, haar), [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+
+    @staticmethod
+    def _refusals(transform, pair):
+        with pytest.raises(BadDepth, match="signal length 12 is not a positive multiple of 2\\^3"):
+            transform(np.zeros(12), 3, pair)
+        with pytest.raises(BadDepth, match="signal length 12 is not a positive multiple of 2\\^3"):
+            transform(np.zeros((5, 12)), 3, pair)  # the last axis of a block
+        with pytest.raises(BadDepth, match="signal length 16 is not a positive multiple of 2\\^5"):
+            transform(np.zeros(16), 5, pair)  # deeper than the frame
+        with pytest.raises(BadDepth, match="signal length 16 is not a positive multiple"):
+            transform(np.zeros(16), 1 << 40, pair)  # refused without forming 2^depth
+        for depth in (0, -1):
+            with pytest.raises(BadDepth, match=f"depth must be >= 1, got {depth}"):
+                transform(np.zeros(16), depth, pair)
+        with pytest.raises(BadDepth, match="signal length 0 "):
+            transform(np.float64(1.0), 1, pair)  # a scalar has no last axis to transform
 
     def test_bad_depth_rejected(self, haar):
-        with pytest.raises(BadDepth):
-            analyze(np.zeros(12), 3, haar)  # 12 not divisible by 8
-        with pytest.raises(BadDepth):
-            analyze(np.zeros(16), 0, haar)
+        self._refusals(analyze, haar)
+        self._refusals(synthesize, haar)
 
-    def test_malformed_frames_rejected(self):
-        with pytest.raises(MalformedFrame):
-            CoefficientFrame((np.zeros(4), np.zeros(3)), np.zeros(3))
-        with pytest.raises(MalformedFrame):
-            CoefficientFrame((np.zeros(4), np.zeros(2)), np.zeros(4))
-        with pytest.raises(MalformedFrame):
-            CoefficientFrame((), np.zeros(4))
+    def test_malformed_frames_rejected(self, haar):
+        # coefficients that do not tile a dyadic frame of the given depth
+        for n, depth in ((6, 2), (4, 3), (24, 4)):
+            with pytest.raises(BadDepth):
+                synthesize(np.zeros(n), depth, haar)
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_block_matches_row_by_row(self, name):
+        pair = make_wavelet_system(name)
+        block = np.random.default_rng(29).standard_normal((5, 256))
+        flat = analyze(block, 4, pair)
+        lines = synthesize(flat, 4, pair)
+        assert flat.shape == lines.shape == (5, 256)
+        for k in range(5):
+            assert flat[k].tobytes() == analyze(block[k], 4, pair).tobytes()
+            assert lines[k].tobytes() == synthesize(flat[k], 4, pair).tobytes()
+        # a (frames, channels, N) stack works along the last axis as well
+        stack = block.reshape(5, 1, 256)
+        assert analyze(stack, 4, pair).tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_in_place(self, name):
+        pair = make_wavelet_system(name)
+        x = np.random.default_rng(31).standard_normal((3, 64))
+        flat = analyze(x, 3, pair)
+        want = synthesize(flat, 3, pair)
+        buf = flat.copy()
+        assert synthesize(buf, 3, pair, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        buf = x.copy()
+        assert analyze(buf, 3, pair, out=buf) is buf
+        assert buf.tobytes() == flat.tobytes()
 
 
 class TestInvariants:
@@ -295,7 +345,7 @@ class TestInvariants:
         pair = make_wavelet_system(random_scaling_filter(rng, taps))
         for n, depth in ((8, 1), (64, 3), (256, 5), (4096, 5)):
             x = rng.standard_normal(n)
-            err = np.max(np.abs(synthesize(analyze(x, depth, pair), pair) - x))
+            err = np.max(np.abs(synthesize(analyze(x, depth, pair), depth, pair) - x))
             assert err <= 1e-10
 
     def test_round_trip_builtin_pairs(self, haar, db4):
@@ -303,15 +353,14 @@ class TestInvariants:
         for pair in (haar, db4):
             for n in (2, 4, 1024):
                 x = rng.standard_normal(n)
-                lp = analyze_level(x, pair)
-                np.testing.assert_allclose(synthesize_level(lp, pair), x, atol=1e-12)
+                np.testing.assert_allclose(synthesize(analyze(x, 1, pair), 1, pair), x, atol=1e-12)
 
     def test_energy_conservation(self, db4):
         rng = np.random.default_rng(37)
         for _ in range(20):
             x = rng.standard_normal(512)
-            frame = analyze(x, 4, db4)
-            rel = abs(frame.energy() - np.dot(x, x)) / np.dot(x, x)
+            flat = analyze(x, 4, db4)
+            rel = abs(np.dot(flat, flat) - np.dot(x, x)) / np.dot(x, x)
             assert rel <= 1e-9
 
     def test_linearity(self, db4):
@@ -322,18 +371,21 @@ class TestInvariants:
         fx = analyze(x, 3, db4)
         fy = analyze(y, 3, db4)
         fxy = analyze(a * x + b * y, 3, db4)
-        for dxy, dx, dy in zip(fxy.details, fx.details, fy.details):
-            np.testing.assert_allclose(dxy, a * dx + b * dy, atol=1e-10)
-        np.testing.assert_allclose(fxy.approx, a * fx.approx + b * fy.approx, atol=1e-10)
+        np.testing.assert_allclose(fxy, a * fx + b * fy, atol=1e-10)
 
     def test_frame_bookkeeping(self, haar):
-        frame = analyze(np.arange(64.0), 3, haar)
-        assert frame.depth == 3
-        assert frame.length == 64
-        assert frame.coefficient_count() == 64
+        # N samples give exactly N coefficients, as float64, for ints as well
+        flat = analyze(np.arange(64), 3, haar)
+        assert flat.shape == (64,) and flat.dtype == np.float64
+        assert synthesize(flat, 3, haar).shape == (64,)
+        details, approx = split(flat, 3)
+        assert [d.size for d in details] + [approx.size] == [32, 16, 8, 8]
 
     def test_non_contiguous_input_accepted(self, db4):
         base = np.random.default_rng(51).standard_normal(256)
         view = base[::2]  # strided view, not C-contiguous
-        frame = analyze(view, 2, db4)
-        np.testing.assert_allclose(synthesize(frame, db4), np.ascontiguousarray(view), atol=1e-12)
+        flat = analyze(view, 2, db4)
+        assert flat.tobytes() == analyze(np.ascontiguousarray(view), 2, db4).tobytes()
+        strided = np.empty(2 * flat.size)
+        strided[::2] = flat
+        np.testing.assert_allclose(synthesize(strided[::2], 2, db4), view, atol=1e-12)
