@@ -1,9 +1,10 @@
 """Build and inspect orthonormal filter pairs.
 
 Every multiplex in this package is parameterized by a single scaling
-filter g; the wavelet filter h follows mechanically. This script builds
-the two builtins, derives a custom 6-tap system from lattice rotation
-angles, and shows what the validator reports for a broken filter.
+filter g; the wavelet filter h follows mechanically, so a ``FilterPair``
+is built from g alone and derives h itself. This script builds the two
+builtins, derives a custom 6-tap system from lattice rotation angles,
+and shows what the validator reports for a broken filter.
 
 It also shows the form the transform actually runs: each pair's
 paraunitary lattice, compiled once per pair. The lattice lives in the
@@ -16,6 +17,7 @@ import numpy as np
 from wavemux import (
     FilterPair,
     NotOrthonormal,
+    OddLength,
     check_orthonormality,
     derive_wavelet_filter,
     format_coefficients_csv,
@@ -58,6 +60,13 @@ g = make_wavelet_system("db4").g
 h = derive_wavelet_filter(g)
 print("\nalternating flip of db4:", np.round(h, 8))
 print("sum of h:", h.sum())
+# a pair takes g only and derives this h when it is built, so a g without
+# a flip, of odd length, fails there
+assert np.array_equal(FilterPair("db4", g).h, h)
+try:
+    FilterPair("odd", [0.5, 0.5, 0.5])
+except OddLength as exc:
+    print(f"odd filter: {exc}")
 
 # ---------------------------------------------------------------------
 # Any angle sequence summing to pi/4 parameterizes a valid orthonormal
@@ -87,7 +96,7 @@ assert 1 + len(custom._lattice.stages) == len(angles)
 # A filter that fails validation: the report names each violated
 # constraint with its residual instead of raising.
 # ---------------------------------------------------------------------
-broken = FilterPair.from_scaling("broken", np.array([0.9, 0.5]))
+broken = FilterPair("broken", np.array([0.9, 0.5]))
 for violation in check_orthonormality(broken):
     print(f"broken filter: {violation.constraint} off by {violation.residual:.3e}")
 # nor does it compile: no lattice reproduces a pair that is not paraunitary

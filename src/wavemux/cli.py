@@ -80,19 +80,18 @@ def _load(args: argparse.Namespace) -> tuple[RatePlan, FilterPair]:
     return plan, _resolve_wavelet(args.wavelet, args.verbose)
 
 
-def _payload_stems(plan: RatePlan) -> list[str]:
-    """Each channel's payload file name without its suffix, in declaration order.
+def _check_payload_names(plan: RatePlan) -> None:
+    """Refuse a channel id that cannot name its payload file.
 
-    The name is the channel id, so an id that holds a path separator or
-    NUL, which would name a file outside the payload directory or none at
-    all, is refused before any payload file is opened.
+    A payload file is named by its channel id, so an id that holds a path
+    separator or NUL, which would name a file outside the payload
+    directory or none at all, is refused before any payload file is opened.
     """
     for ch in plan.channels:
         if any(c in ch.id for c in ("/", "\0", os.sep, os.altsep) if c):
             raise ConfigError(
                 f"channel {ch.id!r}: an id holding a path separator or NUL cannot name a payload file"
             )
-    return [ch.id for ch in plan.channels]
 
 
 def _resolve_wavelet(spec: str, verbose: bool = False) -> FilterPair:
@@ -209,10 +208,11 @@ def cmd_mux(args: argparse.Namespace) -> int:
     directory = Path(args.payload_dir)
     columns: dict[str, np.ndarray] = {}  # channel id -> its stream as (frames, samples per frame)
     read = 0
-    for ch, stem, (lo, hi) in zip(plan.channels, _payload_stems(plan), plan.layout.bounds):
+    _check_payload_names(plan)
+    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
         spf = hi - lo
-        bits_path = directory / f"{stem}.bits"
-        samples_path = directory / f"{stem}.samples"
+        bits_path = directory / f"{ch.id}.bits"
+        samples_path = directory / f"{ch.id}.samples"
         if bits_path.exists():
             values, size = _read_bits(bits_path, ch.id, spf, plan.resolution)
         elif samples_path.exists():
@@ -239,17 +239,17 @@ def cmd_mux(args: argparse.Namespace) -> int:
 
 def cmd_demux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
-    stems = _payload_stems(plan)
+    _check_payload_names(plan)
     line, read = _read_samples(Path(args.signal), args.format)
     tdm = demux_frames(plan, system, line)
     files = {}  # every channel is decoded before any file is written
-    for ch, stem, (lo, hi) in zip(plan.channels, stems, plan.layout.bounds):
+    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
         stream = tdm[:, lo:hi]  # the channel's samples, frame after frame
         if args.payload == "samples":
-            files[f"{stem}.samples"] = _encode_samples(stream.reshape(-1), args.format)
+            files[f"{ch.id}.samples"] = _encode_samples(stream.reshape(-1), args.format)
             continue
         try:
-            files[f"{stem}.bits"] = _dequantize_packed(stream, plan.resolution)
+            files[f"{ch.id}.bits"] = _dequantize_packed(stream, plan.resolution)
         except OffGrid as exc:
             frame = exc.index // (hi - lo)
             raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc

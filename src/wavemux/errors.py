@@ -43,7 +43,7 @@ class BadDepth(ConfigError):
 # -------------------------------------------------------------- rate plans
 
 class JTooLarge(ConfigError):
-    """Composition enumeration would exceed the configured cap."""
+    """J is above the supported maximum, or its compositions exceed the enumeration cap."""
 
 
 class NotPowerOfTwoN(ConfigError):

@@ -45,6 +45,8 @@ none. Both transmit paths reject a row holding NaN or an infinity
 (NonFiniteSample), which synthesis would otherwise spread over every
 channel of the frame; ``demux_frames`` and ``demux`` in sample mode
 reject a recovered one (OffGrid), which only a corrupt line leaves.
+Every sample array enters through :func:`_real`, which refuses complex
+and text dtypes (DataError) instead of casting them to float.
 
 The codec runs once per frame, not once per channel: :func:`tdm_row`
 joins the digital payloads' bits into one :func:`quantize_words` call,
@@ -89,6 +91,7 @@ import numpy as np
 
 from .errors import (
     BadLength,
+    DataError,
     DuplicateChannel,
     MissingChannel,
     NonFiniteSample,
@@ -117,6 +120,20 @@ __all__ = [
 ]
 
 
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float array, once its dtype is boolean, integer or real.
+
+    A cast to float would drop the imaginary part of complex samples
+    (NumPy warns, nothing more) and parse text, so both are refused with
+    DataError, as is any other dtype; ``what`` names the array in the
+    message. A float64 array is returned as it is.
+    """
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        raise DataError(f"{what}: samples must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class TributaryPayload:
     """One channel's content for one frame: a bit string or real samples.
@@ -133,7 +150,7 @@ class TributaryPayload:
         if (self.bits is None) == (self.samples is None):
             raise ValueError(f"payload {self.id!r}: exactly one of bits/samples must be given")
         if self.samples is not None:
-            object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+            object.__setattr__(self, "samples", _real(self.samples, f"channel {self.id!r}"))
 
     @classmethod
     def from_bits(cls, channel_id: str, bits: str) -> "TributaryPayload":
@@ -156,7 +173,7 @@ class MuxedSignal:
     plan_digest: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        object.__setattr__(self, "samples", _real(self.samples, "signal"))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -293,8 +310,9 @@ def dequantize_samples(values: np.ndarray, resolution: int) -> str:
     legal level.
     """
     _check_resolution(resolution)
+    values = _real(values, "samples")
     packed = _dequantize_packed(values, resolution)
-    return (np.unpackbits(packed, count=np.size(values) * resolution) + 48).tobytes().decode("ascii")
+    return (np.unpackbits(packed, count=values.size * resolution) + 48).tobytes().decode("ascii")
 
 
 # --------------------------------------------------------------- frame build
@@ -404,7 +422,7 @@ def _finite(plan: RatePlan, rows: np.ndarray, *, recovered: bool = False) -> np.
 
 def _permuted(layout: FrameLayout, x, index: np.ndarray | None, out: np.ndarray | None) -> np.ndarray:
     """``x`` (..., N) gathered through ``index`` along its last axis into ``out``, or ``x`` itself in order."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "frames")
     if x.ndim < 1 or x.shape[-1] != layout.index.size:
         raise ShapeMismatch(f"frames of shape {x.shape} do not fit a layout of {layout.index.size} samples")
     if layout.in_order:
@@ -478,7 +496,7 @@ def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray
 
 def mux_frames(plan: RatePlan, system: FilterPair, tdm) -> np.ndarray:
     """Multiplex a ``(frames, N)`` array of TDM rows into a line of frames * N samples."""
-    tdm = np.asarray(tdm, dtype=float)
+    tdm = _real(tdm, "TDM array")
     if tdm.ndim != 2 or len(tdm) < 1 or tdm.shape[1] != plan.blocklength:
         raise ShapeMismatch(f"TDM array of shape {tdm.shape}, plan expects (frames >= 1, {plan.blocklength})")
     return _by_blocks(_transmit, plan.layout, system, _finite(plan, tdm)).reshape(-1)
@@ -493,7 +511,7 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
     :func:`demux` with ``digital=False``.
     """
     n = plan.blocklength
-    x = np.asarray(line, dtype=float)
+    x = _real(line, "signal")
     if x.ndim != 1 or x.size < n or x.size % n:
         raise ShapeMismatch(f"signal has {x.size} samples, not a whole number of {n}-sample frames")
     return _finite(plan, _by_blocks(_receive, plan.layout, system, x.reshape(-1, n)), recovered=True)
@@ -523,7 +541,7 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
         if signal.plan_digest and signal.plan_digest != layout.digest:
             raise ShapeMismatch("signal was multiplexed under a different plan")
         signal = signal.samples
-    x = np.asarray(signal, dtype=float)
+    x = _real(signal, "signal")
     if x.ndim != 1 or x.size != plan.blocklength:
         raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -86,7 +86,8 @@ __all__ = [
 #: tier, n_1 counting the fastest (rate 2^(J-1) R) channels.
 Composition = tuple[int, ...]
 
-DEFAULT_COMPOSITION_CAP = 1_000_000
+#: Most compositions :func:`enumerate_compositions` lists; J = 8 has 692,003, J = 9 over 30 million.
+_COMPOSITION_CAP = 1_000_000
 _MAX_LEVELS = 16
 #: Largest blocklength N a plan may declare: 2^24 samples, 128 MiB per
 #: float64 frame. Compiling a plan builds arrays of N entries, so a larger
@@ -148,21 +149,18 @@ def count_compositions(levels: int) -> int:
     return ways[total]
 
 
-def enumerate_compositions(levels: int, cap: int = DEFAULT_COMPOSITION_CAP) -> list[Composition]:
+def enumerate_compositions(levels: int) -> list[Composition]:
     """All channel-count vectors that exactly fill a J-level frame.
 
     Ordered lexicographically descending on (n_1, n_2, ...), so the
     all-fast configuration comes first and the all-basic-rate one last.
-    Complete and duplicate-free; raises JTooLarge when the solution count
-    would exceed ``cap``.
+    Complete and duplicate-free. Raises what :func:`count_compositions`
+    raises for J, and JTooLarge when the solution count would exceed
+    ``_COMPOSITION_CAP`` (from J = 9 on).
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if levels > _MAX_LEVELS:
-        raise JTooLarge(f"levels={levels} exceeds the supported maximum {_MAX_LEVELS}")
     n = count_compositions(levels)
-    if n > cap:
-        raise JTooLarge(f"{n} compositions at levels={levels} exceed the cap of {cap}")
+    if n > _COMPOSITION_CAP:
+        raise JTooLarge(f"{n} compositions at levels={levels} exceed the cap of {_COMPOSITION_CAP}")
 
     if levels == 1:
         return [(2,)]  # a single tier: two basic-rate channels
@@ -479,42 +477,47 @@ def plan_to_dict(plan: RatePlan) -> dict:
     }
 
 
-def _whole(value, field: str) -> int:
-    """int(value) of a JSON number, refusing booleans and numbers int() would truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"malformed plan document: {field} must be a whole number, got {value!r}")
-    return int(value)
+_KINDS = {"text": "a string", "whole": "a whole number", "finite": "a finite number"}
 
 
-def _frequency(value) -> float:
-    """float(value) of a JSON number, refusing booleans, NaN and infinities."""
-    frequency = float(value)
-    if isinstance(value, bool) or not math.isfinite(frequency):
-        raise ConfigError(f"malformed plan document: f_m_hz must be a finite number, got {value!r}")
-    return frequency
+def _read(entry: dict, key: str, kind: str) -> str | int | float:
+    """``entry[key]`` of a plan document, once it is of ``kind`` (see ``_KINDS``).
 
-
-def _channel_id(value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"malformed plan document: channel id must be a string, got {value!r}")
-    return value
+    ``"text"`` takes a JSON string. The others take a JSON number only, that
+    is an int or a float; a bool, a string or null is refused, however it
+    would convert. ``"whole"`` (N, J, R_bps, B, rate_bps) takes a number
+    without a fraction and returns an int, so 8.0 reads as 8; ``"finite"``
+    (f_m_hz) takes a number within the range of a finite float and returns
+    a float. Raises ConfigError for anything else, KeyError when ``key``
+    is missing.
+    """
+    value = entry[key]
+    if kind == "text":
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind == "whole" and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        # compares an int of any size exactly, and is false for NaN
+        if kind == "finite" and -sys.float_info.max <= value <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"malformed plan document: {key} must be {_KINDS[kind]}, got {value!r}")
 
 
 def plan_from_dict(data: dict) -> RatePlan:
+    """The plan a plan document describes, every field read once by :func:`_read`.
+
+    Raises ConfigError for a document of the wrong structure or a field
+    of the wrong kind; the plan itself is checked when it compiles.
+    """
     try:
         channels = tuple(
-            Channel(_channel_id(c["id"]), _whole(c["rate_bps"], "rate_bps"),
-                    _frequency(c["f_m_hz"]) if "f_m_hz" in c else None)
+            Channel(_read(c, "id", "text"), _read(c, "rate_bps", "whole"),
+                    _read(c, "f_m_hz", "finite") if "f_m_hz" in c else None)
             for c in data["channels"]
         )
-        return RatePlan(
-            blocklength=_whole(data["N"], "N"),
-            levels=_whole(data["J"], "J"),
-            basic_rate=_whole(data["R_bps"], "R_bps"),
-            resolution=_whole(data["B"], "B"),
-            channels=channels,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return RatePlan(*(_read(data, key, "whole") for key in ("N", "J", "R_bps", "B")), channels)
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed plan document: {exc}") from exc
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from wavemux import ConfigError, load_plan
+from wavemux import ConfigError, enumerate_compositions, load_plan, plan_from_dict
 from wavemux.cli import main
 from oracles import per_row_decimal_text
 
@@ -145,9 +145,16 @@ class TestPlanCommand:
                             + J3_PLAN["channels"][1:])),
             json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz=float("inf"))]
                             + J3_PLAN["channels"][1:])),
+            # every number written as text: int() and float() would read it
+            json.dumps({"N": "8", "J": "1", "R_bps": "16", "B": "8",
+                        "channels": [{"id": "a", "rate_bps": "16", "f_m_hz": "1"}, {"id": "b", "rate_bps": 16}]}),
+            # a whole number far beyond float range, where only a float makes sense
+            json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz=10**399)]
+                            + J3_PLAN["channels"][1:])),
         ],
         ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id",
-             "missing-N", "int-channels", "text-f_m", "bool-f_m", "nan-f_m", "inf-f_m"],
+             "missing-N", "int-channels", "text-f_m", "bool-f_m", "nan-f_m", "inf-f_m", "text-numbers",
+             "huge-f_m"],
     )
     def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
         path = tmp_path / "plan.json"
@@ -158,6 +165,84 @@ class TestPlanCommand:
         with pytest.raises(ConfigError):
             load_plan(path)
         assert main(["plan", "--plan", str(path)]) == 2
+
+
+def random_plan_document(rng):
+    """A valid plan document of 1..4 scales, with f_m_hz on the first channel and on about half the others."""
+    j = int(rng.integers(1, 5))
+    compositions = enumerate_compositions(j)
+    composition = compositions[rng.integers(len(compositions))]
+    b = int(rng.integers(1, 25))
+    r = 2 * b * int(rng.integers(1, 1000))  # every rate is 2B times a whole f_m_hz
+    rates = [r << (j - tier) for tier, count in enumerate(composition, start=1) for _ in range(count)]
+    rng.shuffle(rates)
+    channels = [{"id": f"c{i}", "rate_bps": rate} for i, rate in enumerate(rates)]
+    for i, channel in enumerate(channels):
+        if i == 0 or rng.random() < 0.5:
+            channel["f_m_hz"] = channel["rate_bps"] // (2 * b)
+    return {"N": 1 << (j + int(rng.integers(0, 4))), "J": j, "R_bps": r, "B": b, "channels": channels}
+
+
+def number_fields(doc):
+    """The path of every number in a plan document."""
+    yield from [(key,) for key in ("N", "J", "R_bps", "B")]
+    for i, channel in enumerate(doc["channels"]):
+        yield from [("channels", i, key) for key in ("rate_bps", "f_m_hz") if key in channel]
+
+
+def with_token(doc, path, token):
+    """The JSON text of ``doc`` with the number at ``path`` replaced by the raw JSON ``token``."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = "@@token@@"
+    return json.dumps(doc).replace('"@@token@@"', token)
+
+
+# each is formatted with the field's own value v, so that text, a list or a
+# fraction stands for a number the plan would accept
+NOT_JSON_NUMBERS = {
+    "text": '"{v}"', "true": "true", "null": "null", "list": "[{v}]", "object": "{{}}", "nan": "NaN",
+    "infinity": "Infinity", "1e400": "1e400", "fraction": "{v}.5", "400-digits": "1" + "0" * 399,
+    "negative": "-{v}",
+}
+
+
+class TestPlanDocumentSweep:
+    DOCUMENTS = 4
+
+    @pytest.mark.parametrize("kind", sorted(NOT_JSON_NUMBERS))
+    def test_every_number_field_refuses_what_is_not_a_valid_json_number(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(1300)
+        path = tmp_path / "plan.json"
+        for _ in range(self.DOCUMENTS):
+            doc = random_plan_document(rng)
+            path.write_text(json.dumps(doc))
+            assert main(["plan", "--plan", str(path)]) == 0
+            for field in number_fields(doc):
+                value = doc[field[0]] if len(field) == 1 else doc["channels"][field[1]][field[2]]
+                path.write_text(with_token(doc, field, NOT_JSON_NUMBERS[kind].format(v=value)))
+                # read, then compiled, as every command does: a whole number out
+                # of range is a valid number but an invalid plan
+                with pytest.raises(ConfigError):
+                    load_plan(path).layout
+                assert main(["plan", "--plan", str(path)]) == 2, (field, path.read_text())
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_number_written_with_a_zero_fraction_loads_as_the_number(self, tmp_path):
+        rng = np.random.default_rng(1301)
+        path = tmp_path / "plan.json"
+        for _ in range(self.DOCUMENTS):
+            doc = random_plan_document(rng)
+            for field in number_fields(doc):
+                value = doc[field[0]] if len(field) == 1 else doc["channels"][field[1]][field[2]]
+                path.write_text(with_token(doc, field, f"{value}.0"))
+                plan = load_plan(path)
+                assert plan == plan_from_dict(doc)
+                assert all(type(v) is int for v in (plan.blocklength, plan.levels, plan.basic_rate,
+                                                     plan.resolution, *(ch.rate for ch in plan.channels)))
+                assert main(["plan", "--plan", str(path)]) == 0
 
 
 class TestCompositionsCommand:

@@ -16,6 +16,7 @@ from wavemux import (
     BadLength,
     BadResolution,
     Channel,
+    DataError,
     DuplicateChannel,
     MissingChannel,
     MuxedSignal,
@@ -551,6 +552,46 @@ def test_payload_requires_exactly_one_mode():
         TributaryPayload(id="x")
     with pytest.raises(ValueError):
         TributaryPayload(id="x", bits="01", samples=np.zeros(1))
+
+
+# a cast to float drops the imaginary part with a ComplexWarning, a
+# RuntimeWarning that the test configuration makes an error, and parses text
+NOT_REAL = {"complex": lambda x: np.asarray(x) + 0j, "text": lambda x: np.asarray(x).astype(str)}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+class TestRealSamples:
+    def test_payload_samples(self, kind):
+        with pytest.raises(DataError, match=r"channel 'a': samples must be real numbers"):
+            TributaryPayload.from_samples("a", NOT_REAL[kind]([0.5, 0.0, 0.0, 0.0]))
+
+    def test_mux_frames(self, kind, haar):
+        with pytest.raises(DataError, match="TDM array: samples must be real numbers"):
+            mux_frames(make_plan(8, 2, [64000] * 4), haar, NOT_REAL[kind](np.zeros((1, 8))))
+
+    def test_received_line(self, kind, haar):
+        plan = make_plan(8, 2, [64000] * 4)
+        line = NOT_REAL[kind](np.zeros(8))
+        for receive in (demux_frames, demux):
+            with pytest.raises(DataError, match="signal: samples must be real numbers"):
+                receive(plan, haar, line)
+        with pytest.raises(DataError, match="signal: samples must be real numbers"):
+            MuxedSignal(line)
+
+    def test_codec_and_frame_entries(self, kind, haar):
+        plan = make_plan(8, 2, [64000] * 4)
+        with pytest.raises(DataError, match="samples: samples must be real numbers"):
+            dequantize_samples(NOT_REAL[kind](np.full(4, 0.5 / 256)), 8)
+        for scatter_or_gather in (assemble_frame, disassemble_frame):
+            with pytest.raises(DataError, match="frames: samples must be real numbers"):
+                scatter_or_gather(plan.layout, NOT_REAL[kind](np.zeros(8)))
+
+
+def test_real_dtypes_are_read_as_float64():
+    for samples in ([1, 0, 0, 0], np.array([True, False, False, False]), np.zeros(4, np.float32), np.zeros(4, np.int8)):
+        payload = TributaryPayload.from_samples("a", samples)
+        assert payload.samples.dtype == np.float64
+        assert payload.samples.tolist() == np.asarray(samples, dtype=float).tolist()
 
 
 class TestFrameLayout:

@@ -9,6 +9,7 @@ from wavemux import (
     BadDepth,
     FilterPair,
     NotOrthonormal,
+    OddLength,
     analyze,
     make_wavelet_system,
     synthesize,
@@ -214,16 +215,20 @@ class TestLattice:
         np.testing.assert_allclose(synthesize(flat, 1, pair), x, rtol=0, atol=1e-15)
 
     def test_unvalidated_non_paraunitary_pair_is_refused(self):
-        broken = FilterPair.from_scaling("broken", np.array([0.9, 0.5, 0.1, 0.2]))
+        broken = FilterPair("broken", np.array([0.9, 0.5, 0.1, 0.2]))
         with pytest.raises(NotOrthonormal, match="not paraunitary"):
             analyze(np.zeros(8), 1, broken)
         with pytest.raises(NotOrthonormal, match="not paraunitary"):
-            synthesize(np.zeros(8), 1, FilterPair.from_scaling("haarish", [0.9, 0.5]))
+            synthesize(np.zeros(8), 1, FilterPair("haarish", [0.9, 0.5]))
         for g in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
             with pytest.raises(NotOrthonormal, match="not paraunitary"):
-                FilterPair.from_scaling("zero", g)._lattice
-        with pytest.raises(NotOrthonormal, match="no lattice"):
-            FilterPair("odd", [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])._lattice
+                FilterPair("zero", g)._lattice
+        # an odd g makes no pair at all, so the lattice only refuses taps that are not finite
+        with pytest.raises(OddLength):
+            FilterPair("odd", [1.0, 0.0, 0.0])
+        for g in ([np.nan, 1.0], [1.0, 0.0, np.inf, 0.0]):
+            with pytest.raises(NotOrthonormal, match="no lattice"):
+                FilterPair("non-finite", g)._lattice
 
     def test_validation_compiles_the_lattice(self, monkeypatch):
         # a pair the lattice cannot run is refused where it is validated

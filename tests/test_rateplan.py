@@ -114,8 +114,6 @@ class TestEnumerateCompositions:
         with pytest.raises(JTooLarge):
             enumerate_compositions(9)  # >30M rows under the default cap
         with pytest.raises(JTooLarge):
-            enumerate_compositions(4, cap=10)
-        with pytest.raises(JTooLarge):
             enumerate_compositions(17)
         with pytest.raises(ValueError):
             enumerate_compositions(0)

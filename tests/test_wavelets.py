@@ -119,19 +119,40 @@ class TestDeriveWaveletFilter:
             derive_wavelet_filter([1.0, 2.0, 3.0])
 
 
+class TestDerivedPair:
+    def test_h_is_the_flip_of_g(self):
+        rng = np.random.default_rng(17)
+        for g in [DB4_G, [0.9, 0.5], rng.standard_normal(6), random_scaling_filter(rng, 5)]:
+            pair = FilterPair("x", g)
+            assert pair.h.tolist() == derive_wavelet_filter(g).tolist()
+            assert pair.g.dtype == pair.h.dtype == float
+
+    @pytest.mark.parametrize("g", [[0.5, 0.5, 0.5], [1.0], [], [[0.5, 0.5]]])
+    def test_odd_or_short_g_fails_at_construction(self, g):
+        with pytest.raises(OddLength):
+            FilterPair("x", g)
+
+    def test_h_cannot_be_given(self):
+        with pytest.raises(TypeError):
+            FilterPair("x", DB4_G, DB4_G)
+
+
 class TestCheckOrthonormality:
     def test_builtins_clean_at_tight_tolerance(self):
         for name in ("haar", "db4"):
             assert check_orthonormality(make_wavelet_system(name), tol=1e-12) == []
 
-    def test_sum_rule_violation_reported_with_residual(self):
-        from wavemux import FilterPair
+    def test_seeded_lattice_filters_clean_at_tight_tolerance(self):
+        rng = np.random.default_rng(2026)
+        for taps in rng.integers(1, 9, 200):
+            assert check_orthonormality(FilterPair("lattice", random_scaling_filter(rng, taps)), tol=1e-12) == []
 
-        pair = FilterPair.from_scaling("bad", np.array([0.9, 0.5]))
-        report = check_orthonormality(pair)
-        sums = [v for v in report if v.constraint == "sum_rule"]
-        assert len(sums) == 1
-        assert sums[0].residual == pytest.approx(abs(1.4 - SQRT2), abs=1e-15)
+    def test_sum_rule_violation_reported_with_residual(self):
+        report = check_orthonormality(FilterPair("bad", np.array([0.9, 0.5])))
+        assert [v.constraint for v in report] == ["sum_rule", "double_shift_orthonormality_k=0", "wavelet_zero_sum"]
+        expected = [abs(1.4 - SQRT2), abs(0.9**2 + 0.5**2 - 1.0), 0.4]
+        for violation, residual in zip(report, expected):
+            assert violation.residual == pytest.approx(residual, abs=1e-15)
 
     def test_random_lattice_filters_clean(self):
         rng = np.random.default_rng(11)
@@ -140,11 +161,11 @@ class TestCheckOrthonormality:
             assert check_orthonormality(pair) == []
 
     def test_cross_orthogonality_all_shifts(self):
-        # sum_n g[n] h[n+2k] = 0 for every k, the directly testable
-        # stand-in for the flip being its own inverse up to signs
+        # sum_n g[n] h[n+2k] = 0 for every k and for the flip of any
+        # even-length g, orthonormal or not: the terms cancel in pairs,
+        # which is why check_orthonormality does not check it
         rng = np.random.default_rng(13)
-        for taps in (2, 4, 5):
-            g = random_scaling_filter(rng, taps)
+        for g in [random_scaling_filter(rng, taps) for taps in (2, 4, 5)] + [rng.standard_normal(8)]:
             h = derive_wavelet_filter(g)
             L = len(g)
             for k in range(-(L // 2) + 1, L // 2):
@@ -213,7 +234,7 @@ class TestNonFiniteCoefficients:
         if isinstance(g, str):
             g = DB4_G.copy()
             g[2] = np.nan
-        report = check_orthonormality(FilterPair.from_scaling("custom", np.asarray(g)))
+        report = check_orthonormality(FilterPair("custom", np.asarray(g)))
         assert [v.constraint for v in report] == ["finite_coefficients"]
         with pytest.raises(NotOrthonormal, match="finite_coefficients"):
             make_wavelet_system(g)
