@@ -15,9 +15,6 @@ from wavemux import (
     allocate_bands,
     enumerate_compositions,
     frame_time,
-    iter_band_slots,
-    tree_leaf,
-    tree_to_json,
     tributary_rates,
     validate_plan,
 )
@@ -66,12 +63,11 @@ plan = RatePlan(64, 3, 64000, 8, (
     Channel("voice4", 64000),
 ))
 print("\ncomposition:", validate_plan(plan))
-tree = allocate_bands(plan)
-for level, slot in iter_band_slots(tree):
-    print(f"  band {level}: {slot.channel_id} decimation {slot.decimation} phase {slot.phase}")
-leaf = tree_leaf(tree)
-print(f"  leaf {leaf.level}: {leaf.channel_id}")
-print("serialized:", tree_to_json(tree))
+allocation = allocate_bands(plan)
+for level, band in enumerate(allocation.bands, start=1):
+    for slot in band:
+        print(f"  band {level}: {slot.channel_id} decimation {slot.decimation} phase {slot.phase}")
+print(f"  leaf {allocation.depth}: {allocation.leaf}")
 
 # ---------------------------------------------------------------------
 # Allocation cost. Channels are placed in one pass in descending rate,

@@ -12,7 +12,6 @@ time-division framing.
 from .errors import (
     BadDepth,
     BadLength,
-    BadPhase,
     BadResolution,
     CapacityMismatch,
     ConfigError,
@@ -47,32 +46,24 @@ from .framing import (
 )
 from .mra import analyze, synthesize
 from .rateplan import (
-    AllocationTree,
+    Allocation,
     Channel,
     Composition,
     FrameLayout,
-    LeafNode,
     RatePlan,
     Slot,
-    SplitNode,
     aggregate_rate,
     allocate_bands,
     channel_units,
     count_compositions,
     enumerate_compositions,
     frame_time,
-    iter_band_slots,
     load_plan,
     plan_digest,
     plan_from_dict,
     plan_to_dict,
     samples_per_frame,
-    slot_indices,
     tree_depth,
-    tree_from_dict,
-    tree_leaf,
-    tree_to_dict,
-    tree_to_json,
     tributary_rates,
     validate_plan,
 )

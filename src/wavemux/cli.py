@@ -42,9 +42,7 @@ from .rateplan import (
     aggregate_rate,
     enumerate_compositions,
     frame_time,
-    iter_band_slots,
     load_plan,
-    tree_leaf,
     tributary_rates,
 )
 # dft_magnitude is unused here, but perfbench/tracing.py wraps it in this module by name
@@ -178,13 +176,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"frame_time: {t} s ({_format_seconds(t)})")
     print(f"aggregate_rate: {aggregate_rate(plan)} bps")
     print("allocation:")
-    placement: dict[str, str] = {}
-    for level, slot in iter_band_slots(layout.tree):
-        placement[slot.channel_id] = (
-            f"detail band level {level}, decimation {slot.decimation}, phase {slot.phase}"
-        )
-    leaf = tree_leaf(layout.tree)
-    placement[leaf.channel_id] = f"approximation leaf at level {leaf.level}"
+    allocation = layout.allocation
+    placement = {slot.channel_id: f"detail band level {level}, decimation {slot.decimation}, phase {slot.phase}"
+                 for level, band in enumerate(allocation.bands, start=1) for slot in band}
+    placement[allocation.leaf] = f"approximation leaf at level {allocation.depth}"
     for ch, (lo, hi) in zip(plan.channels, layout.bounds):
         print(f"  {ch.id}: rate {ch.rate} bps, {hi - lo} samples/frame, {placement[ch.id]}")
     return EXIT_OK

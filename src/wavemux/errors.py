@@ -70,10 +70,6 @@ class RateInconsistentWithFm(ConfigError):
     """A channel's rate disagrees with its declared analog bandwidth."""
 
 
-class BadPhase(ConfigError):
-    """A polyphase slot phase is outside [0, decimation)."""
-
-
 # ----------------------------------------------------------------- framing
 
 class BadLength(DataError):

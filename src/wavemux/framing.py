@@ -45,8 +45,8 @@ none. Both transmit paths reject a row holding NaN or an infinity
 (NonFiniteSample), which synthesis would otherwise spread over every
 channel of the frame; ``demux_frames`` and ``demux`` in sample mode
 reject a recovered one (OffGrid), which only a corrupt line leaves.
-Every sample array enters through :func:`_real`, which refuses complex
-and text dtypes (DataError) instead of casting them to float.
+Every sample array enters through :func:`mra._real`, which refuses
+complex and text dtypes (DataError) instead of casting them to float.
 
 The codec runs once per frame, not once per channel: :func:`tdm_row`
 joins the digital payloads' bits into one :func:`quantize_words` call,
@@ -91,7 +91,6 @@ import numpy as np
 
 from .errors import (
     BadLength,
-    DataError,
     DuplicateChannel,
     MissingChannel,
     NonFiniteSample,
@@ -99,7 +98,7 @@ from .errors import (
     PayloadLengthMismatch,
     ShapeMismatch,
 )
-from .mra import _scratch, analyze, synthesize
+from .mra import _real, _scratch, analyze, synthesize
 # allocate_bands, plan_digest and validate_plan are unused here, but
 # perfbench/tracing.py wraps them in this module by name
 from .rateplan import FrameLayout, RatePlan, _check_resolution, allocate_bands, plan_digest, validate_plan  # noqa: F401
@@ -118,20 +117,6 @@ __all__ = [
     "mux",
     "demux",
 ]
-
-
-def _real(values, what: str) -> np.ndarray:
-    """``values`` as a float array, once its dtype is boolean, integer or real.
-
-    A cast to float would drop the imaginary part of complex samples
-    (NumPy warns, nothing more) and parse text, so both are refused with
-    DataError, as is any other dtype; ``what`` names the array in the
-    message. A float64 array is returned as it is.
-    """
-    x = np.asarray(values)
-    if x.dtype.kind not in "biuf":
-        raise DataError(f"{what}: samples must be real numbers, got dtype {x.dtype}")
-    return x.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BadDepth
+from .errors import BadDepth, DataError
 from .wavelets import FilterPair, _Lattice
 
 __all__ = ["analyze", "synthesize"]
@@ -203,9 +203,23 @@ def _lattice_scratch(pair: FilterPair, lead: tuple[int, ...], half: int) -> tupl
     return lattice, tuple(_scratch("channels", (3,) + lead + (half + len(lattice.stages),)))
 
 
-def _checked(x, depth: int) -> np.ndarray:
-    """``x`` as a float64 array, once ``depth`` levels fit its last axis; BadDepth otherwise."""
-    x = np.asarray(x, dtype=float)
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float array, once its dtype is boolean, integer or real.
+
+    A cast to float would drop the imaginary part of complex samples
+    (NumPy warns, nothing more) and parse text, so both are refused with
+    DataError, as is any other dtype; ``what`` names the array in the
+    message. A float64 array is returned as it is.
+    """
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        raise DataError(f"{what}: samples must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
+def _checked(x, depth: int, what: str) -> np.ndarray:
+    """``x`` as a float64 array, once it is real (:func:`_real`) and ``depth`` levels fit its last axis (BadDepth)."""
+    x = _real(x, what)
     n = x.shape[-1] if x.ndim else 0
     if depth < 1:
         raise BadDepth(f"depth must be >= 1, got {depth}")
@@ -222,9 +236,10 @@ def analyze(x, depth: int, pair: FilterPair, out: np.ndarray | None = None) -> n
     Each level writes its approximation into the tail of the buffer that
     the next level splits in place, and every level works in the same
     scratch. Level 1 reads ``x`` before it writes, so ``out`` may be ``x``
-    itself. Raises BadDepth unless depth >= 1 and 2^depth divides N.
+    itself. Raises DataError for a complex or text ``x``, and BadDepth
+    unless depth >= 1 and 2^depth divides N.
     """
-    x = _checked(x, depth)
+    x = _checked(x, depth, "signal")
     n = x.shape[-1]
     if out is None:
         out = np.empty(x.shape)
@@ -245,9 +260,9 @@ def synthesize(coeffs, depth: int, pair: FilterPair, out: np.ndarray | None = No
     when it is given. Every level copies its inputs into scratch before it
     writes, and only level 1 writes ``out``, so ``out`` may be ``coeffs``
     itself. Inverts :func:`analyze` up to floating-point rounding for
-    orthonormal pairs, and raises BadDepth as it does.
+    orthonormal pairs, and raises DataError and BadDepth as it does.
     """
-    coeffs = _checked(coeffs, depth)
+    coeffs = _checked(coeffs, depth, "coefficients")
     n = coeffs.shape[-1]
     if out is None:
         out = np.empty(coeffs.shape)

@@ -17,7 +17,10 @@ channel of rate 2^(J-j) R occupies 2^(J-j) of them. Channels are placed
 in descending rate, ties in declaration order, and the detail bands fill
 finest first: a channel of u units in a band of C units takes decimation
 C/u and the lowest free phase at it, and the last channel takes the
-remaining approximation whole (see :func:`allocate_bands`).
+remaining approximation whole (see :func:`allocate_bands`). The pyramid
+splits only the approximation, so the result is flat: an
+:class:`Allocation` holds the detail bands' slots finest first, then the
+leaf channel on the last approximation.
 
 A plan is compiled once into a :class:`FrameLayout` (``plan.layout``):
 validation, allocation, digest and the permutation between a frame's
@@ -33,12 +36,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Union
 
 import numpy as np
 
 from .errors import (
-    BadPhase,
     BadResolution,
     CapacityMismatch,
     ConfigError,
@@ -57,9 +58,7 @@ __all__ = [
     "FrameLayout",
     "Composition",
     "Slot",
-    "LeafNode",
-    "SplitNode",
-    "AllocationTree",
+    "Allocation",
     "enumerate_compositions",
     "count_compositions",
     "frame_time",
@@ -67,19 +66,13 @@ __all__ = [
     "aggregate_rate",
     "validate_plan",
     "allocate_bands",
-    "slot_indices",
     "channel_units",
     "samples_per_frame",
     "plan_from_dict",
     "plan_to_dict",
     "load_plan",
     "plan_digest",
-    "tree_to_dict",
-    "tree_from_dict",
-    "tree_to_json",
     "tree_depth",
-    "tree_leaf",
-    "iter_band_slots",
 ]
 
 #: A composition is the vector (n_1, ..., n_J) of channel counts per rate
@@ -298,47 +291,35 @@ class Slot:
 
 
 @dataclass(frozen=True)
-class LeafNode:
-    """A channel occupying the whole approximation at some level.
+class Allocation:
+    """Where a plan's channels sit: the detail bands' slots, then the leaf.
 
-    Its samples pass through untransformed at that depth, so analysis of
-    the multiplexed signal stops here.
+    ``bands[l - 1]`` holds the slots of detail band l, finest (l = 1)
+    first, and ``leaf`` is the channel that takes the approximation at
+    level ``depth`` whole; its samples pass through untransformed at that
+    depth, so analysis of the multiplexed signal stops there.
     """
 
-    level: int
-    channel_id: str
+    bands: tuple[tuple[Slot, ...], ...]
+    leaf: str
+
+    @property
+    def depth(self) -> int:
+        """Number of detail bands, the level of the leaf's approximation."""
+        return len(self.bands)
 
 
-@dataclass(frozen=True)
-class SplitNode:
-    """An internal node: detail band at level+1 plus a deeper child."""
-
-    level: int
-    band: tuple[Slot, ...]
-    child: Union["SplitNode", LeafNode]
-
-
-AllocationTree = Union[SplitNode, LeafNode]
-
-
-def slot_indices(band_length: int, decimation: int, phase: int) -> np.ndarray:
-    """Coefficient indices a slot owns inside its band, ascending."""
-    if not _is_pow2(decimation) or band_length % decimation:
-        raise ValueError(
-            f"decimation must be a power of two dividing the band length,"
-            f" got {decimation} for length {band_length}"
-        )
-    if not 0 <= phase < decimation:
-        raise BadPhase(f"phase {phase} outside [0, {decimation})")
-    return np.arange(phase, band_length, decimation)
-
-
-def allocate_bands(plan: RatePlan) -> AllocationTree:
+def allocate_bands(plan: RatePlan) -> Allocation:
     """The plan's band allocation (see :func:`_allocate`), built once with its layout."""
-    return plan.layout.tree
+    return plan.layout.allocation
 
 
-def _allocate(plan: RatePlan) -> AllocationTree:
+def tree_depth(allocation: Allocation) -> int:
+    """Level of the leaf's approximation: ``allocation.depth``."""
+    return allocation.depth
+
+
+def _allocate(plan: RatePlan) -> Allocation:
     """Assign every channel of a valid plan to a band slot or the leaf, in one pass.
 
     Channels are taken in descending rate, ties in declaration order, and
@@ -369,48 +350,23 @@ def _allocate(plan: RatePlan) -> AllocationTree:
             free = [q + d for q in free] + free
             d *= 2
         bands[-1].append(Slot(ch.id, want, free.pop()))
-
-    node: AllocationTree = LeafNode(level=len(bands), channel_id=leaf)
-    for level in reversed(range(len(bands))):
-        node = SplitNode(level=level, band=tuple(bands[level]), child=node)
-    return node
-
-
-# -------------------------------------------------------- tree introspection
-
-def tree_depth(tree: AllocationTree) -> int:
-    """Level of the terminal leaf node."""
-    return tree_leaf(tree).level
-
-
-def tree_leaf(tree: AllocationTree) -> LeafNode:
-    node = tree
-    while isinstance(node, SplitNode):
-        node = node.child
-    return node
-
-
-def iter_band_slots(tree: AllocationTree) -> Iterator[tuple[int, Slot]]:
-    """Yield (band level, slot) pairs from the finest band downward."""
-    node = tree
-    while isinstance(node, SplitNode):
-        for slot in node.band:
-            yield node.level + 1, slot
-        node = node.child
+    return Allocation(tuple(map(tuple, bands)), leaf)
 
 
 # -------------------------------------------------------------- frame layout
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameLayout:
     """Where every sample of a frame sits, compiled once from a valid plan.
 
-    A frame's TDM row holds the channels' samples concatenated in
-    declaration order, channel ``i`` at ``row[lo:hi]`` for
-    ``(lo, hi) = bounds[i]``. Its flat coefficient vector holds the detail
-    bands finest first, then the approximation at level ``depth``. The two
-    are permutations of each other: TDM sample ``i`` is flat coefficient
-    ``index[i]`` (a read-only array).
+    ``allocation`` places each channel in a detail band or the leaf, and
+    ``depth`` is ``allocation.depth``, kept as a field because the frame
+    path reads it on every call. A frame's TDM row holds the channels'
+    samples concatenated in declaration order, channel ``i`` at
+    ``row[lo:hi]`` for ``(lo, hi) = bounds[i]``. Its flat coefficient
+    vector holds the detail bands finest first, then the approximation at
+    level ``depth``. The two are permutations of each other: TDM sample
+    ``i`` is flat coefficient ``index[i]`` (a read-only array).
 
     ``in_order`` is computed from ``index``: true when the permutation is
     the identity, as for an octave ladder declared finest band first, whose
@@ -420,10 +376,13 @@ class FrameLayout:
     inverse permutation (read-only): flat coefficient ``j`` is TDM sample
     ``inverse[j]``, so the scatter runs as a gather. In order it is None,
     and a large layout holds no second index.
+
+    Layouts compare and hash by identity: a comparison of their arrays
+    would have no single truth value.
     """
 
     composition: Composition
-    tree: AllocationTree
+    allocation: Allocation
     depth: int
     digest: str
     bounds: tuple[tuple[int, int], ...]
@@ -445,17 +404,16 @@ class FrameLayout:
 
 def _compile_layout(plan: RatePlan) -> FrameLayout:
     composition = validate_plan(plan)
-    tree = _allocate(plan)
+    allocation = _allocate(plan)
     n = plan.blocklength
-    # channel id -> its flat coefficient indices; the band at level l starts at N - 2 (N >> l)
-    flat = {slot.channel_id: n - 2 * (n >> level) + slot_indices(n >> level, slot.decimation, slot.phase)
-            for level, slot in iter_band_slots(tree)}
-    leaf = tree_leaf(tree)
-    flat[leaf.channel_id] = np.arange(n - (n >> leaf.level), n)
+    # channel id -> its flat coefficient indices; the band at level l spans N - 2 (N >> l) .. N - (N >> l)
+    flat = {slot.channel_id: np.arange(n - 2 * (n >> level) + slot.phase, n - (n >> level), slot.decimation)
+            for level, band in enumerate(allocation.bands, start=1) for slot in band}
+    flat[allocation.leaf] = np.arange(n - (n >> allocation.depth), n)
     ends = np.cumsum([flat[ch.id].size for ch in plan.channels]).tolist()
     index = np.concatenate([flat[ch.id] for ch in plan.channels])
     index.flags.writeable = False
-    return FrameLayout(composition, tree, leaf.level, plan_digest(plan),
+    return FrameLayout(composition, allocation, allocation.depth, plan_digest(plan),
                        tuple(zip([0] + ends[:-1], ends)), index)
 
 
@@ -525,8 +483,10 @@ def load_plan(path) -> RatePlan:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
-            raise ConfigError(f"plan file {path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError for bytes that are not UTF-8, or
+            # RecursionError for arrays or objects nested past the parser's depth
+            raise ConfigError(f"plan file {path} cannot be read as JSON: {exc}") from exc
     return plan_from_dict(data)
 
 
@@ -534,35 +494,3 @@ def plan_digest(plan: RatePlan) -> str:
     """Stable identifier binding signals to the plan they were built under."""
     blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def tree_to_dict(tree: AllocationTree) -> dict:
-    if isinstance(tree, LeafNode):
-        return {"kind": "leaf", "level": tree.level, "channel": tree.channel_id}
-    return {
-        "kind": "split",
-        "level": tree.level,
-        "band": {
-            "level": tree.level + 1,
-            "slots": [
-                {"channel": s.channel_id, "decimation": s.decimation, "phase": s.phase}
-                for s in tree.band
-            ],
-        },
-        "child": tree_to_dict(tree.child),
-    }
-
-
-def tree_from_dict(data: dict) -> AllocationTree:
-    if data["kind"] == "leaf":
-        return LeafNode(level=int(data["level"]), channel_id=str(data["channel"]))
-    band = tuple(
-        Slot(str(s["channel"]), int(s["decimation"]), int(s["phase"]))
-        for s in data["band"]["slots"]
-    )
-    return SplitNode(level=int(data["level"]), band=band, child=tree_from_dict(data["child"]))
-
-
-def tree_to_json(tree: AllocationTree) -> str:
-    """Canonical JSON rendering; identical plans give identical bytes."""
-    return json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))

@@ -81,7 +81,7 @@ def derive_wavelet_filter(g: np.ndarray) -> np.ndarray:
     return signs * g[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterPair:
     """A scaling filter g and the wavelet filter h derived from it.
 
@@ -90,6 +90,8 @@ class FilterPair:
     than 2 raises OddLength here. Nothing else is checked: use
     :func:`make_wavelet_system` to obtain a validated pair. Immutable
     after construction; instances may be shared freely between threads.
+    Pairs compare and hash by identity, so a pair can key a dict; a
+    comparison of their taps would have no single truth value.
     """
 
     name: str

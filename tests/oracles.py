@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is intentionally written the slow, obvious way (explicit
-loops, no shared code with the package) so that agreement between the two
-is meaningful.
+loops, no shared code with the package; the allocator oracle borrows only
+its result types) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from wavemux.rateplan import Allocation, Slot
 
 
 def lattice_scaling_filter(angles) -> np.ndarray:
@@ -160,23 +162,20 @@ def dense_synthesis_matrix(n: int, depth: int, g, h) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def slot_walk_coefficients(tree, samples_by_id, n: int) -> np.ndarray:
+def slot_walk_coefficients(allocation, samples_by_id, n: int) -> np.ndarray:
     """One frame's coefficients in the dense-matrix column order, placed by
-    walking the allocation tree: a slot of decimation m and phase p owns
+    walking the allocation's bands: a slot of decimation m and phase p owns
     indices p, p + m, p + 2m, ... of its detail band, band by band from the
     finest, and the leaf channel fills the approximation.
     """
     blocks = []
-    node, level = tree, 0
-    while hasattr(node, "child"):
-        level += 1
+    for level, slots in enumerate(allocation.bands, start=1):
         band = np.zeros(n >> level)
-        for slot in node.band:
+        for slot in slots:
             band[np.arange(slot.phase, band.size, slot.decimation)] = samples_by_id[slot.channel_id]
         blocks.append(band)
-        node = node.child
-    approx = np.zeros(n >> level)
-    approx[:] = samples_by_id[node.channel_id]
+    approx = np.zeros(n >> len(allocation.bands))
+    approx[:] = samples_by_id[allocation.leaf]
     blocks.append(approx)
     return np.concatenate(blocks)
 
@@ -275,11 +274,10 @@ def per_token_decimals(text: str) -> np.ndarray:
 class _BuddyBand:
     """Free list of one detail band: (decimation, phase) chunks, split in halves on demand."""
 
-    def __init__(self, level: int, capacity: int) -> None:
-        self.level = level
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity          # units, power of two
         self.free = [(1, 0)]
-        self.slots: list[dict] = []
+        self.slots: list[Slot] = []
 
     def try_place(self, channel_id: str, units: int) -> bool:
         if units > self.capacity:
@@ -294,13 +292,13 @@ class _BuddyBand:
             # split (m, p) -> (2m, p) + (2m, p+m); keep the lower phase
             self.free.append((2 * m, p + m))
             m *= 2
-        self.slots.append({"channel": channel_id, "decimation": target, "phase": p})
+        self.slots.append(Slot(channel_id, target, p))
         return True
 
 
-def buddy_allocation(plan) -> dict:
-    """A valid plan's allocation tree, in the ``tree_to_dict`` form, by a buddy
-    allocator: the allocator wavemux used before its one-pass rule.
+def buddy_allocation(plan) -> Allocation:
+    """A valid plan's allocation by a buddy allocator: the allocator wavemux
+    used before its one-pass rule.
 
     Channels are taken in descending rate (declaration order breaking
     ties). Each is placed in the finest detail band holding a free buddy
@@ -320,11 +318,7 @@ def buddy_allocation(plan) -> dict:
                 leaf = ch.id
                 break
             assert approx_units > units, "approximation node smaller than pending channel"
-            bands.append(_BuddyBand(len(bands) + 1, approx_units >> 1))
+            bands.append(_BuddyBand(approx_units >> 1))
             approx_units >>= 1
     assert leaf is not None, "valid plans always terminate in a leaf"
-    node = {"kind": "leaf", "level": len(bands), "channel": leaf}
-    for band in reversed(bands):
-        node = {"kind": "split", "level": band.level - 1,
-                "band": {"level": band.level, "slots": band.slots}, "child": node}
-    return node
+    return Allocation(tuple(tuple(band.slots) for band in bands), leaf)

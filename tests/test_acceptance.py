@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from wavemux import (
+    Allocation,
     Channel,
     RatePlan,
+    Slot,
     aggregate_rate,
     allocate_bands,
     analyze,
@@ -25,7 +27,6 @@ from wavemux import (
     mux,
     random_payloads,
     synthesize,
-    tree_to_dict,
 )
 from wavemux.cli import main
 from oracles import (
@@ -135,39 +136,31 @@ def test_c4_end_to_end_digital_round_trip():
 
 
 def test_c5_allocation_topologies():
-    """The four canonical mixed-rate layouts serialize to the expected
-    structures."""
+    """The four canonical mixed-rate layouts allocate to the expected
+    bands and leaves."""
     n = 64
 
     # two fast channels: one detail band, one leaf at level 1
-    t1 = tree_to_dict(allocate_bands(composition_plan((2, 0, 0), n)))
-    assert t1["band"]["slots"] == [{"channel": "u0", "decimation": 1, "phase": 0}]
-    assert t1["child"] == {"kind": "leaf", "level": 1, "channel": "u1"}
+    t1 = allocate_bands(composition_plan((2, 0, 0), n))
+    assert t1 == Allocation(((Slot("u0", 1, 0),),), "u1") and t1.depth == 1
 
     # one fast + two medium: leaf moves to level 2
-    t2 = tree_to_dict(allocate_bands(composition_plan((1, 2, 0), n)))
-    assert t2["child"]["band"]["slots"] == [{"channel": "u1", "decimation": 1, "phase": 0}]
-    assert t2["child"]["child"] == {"kind": "leaf", "level": 2, "channel": "u2"}
+    t2 = allocate_bands(composition_plan((1, 2, 0), n))
+    assert t2 == Allocation(((Slot("u0", 1, 0),), (Slot("u1", 1, 0),)), "u2") and t2.depth == 2
 
     # one fast + one medium + two basic
-    t3 = tree_to_dict(allocate_bands(composition_plan((1, 1, 2), n)))
-    assert t3["child"]["band"]["slots"] == [{"channel": "u1", "decimation": 1, "phase": 0}]
-    assert t3["child"]["child"]["band"]["slots"] == [
-        {"channel": "u2", "decimation": 1, "phase": 0}
-    ]
-    assert t3["child"]["child"]["child"] == {"kind": "leaf", "level": 3, "channel": "u3"}
+    t3 = allocate_bands(composition_plan((1, 1, 2), n))
+    assert t3 == Allocation(((Slot("u0", 1, 0),), (Slot("u1", 1, 0),), (Slot("u2", 1, 0),)), "u3")
+    assert t3.depth == 3
 
     # one fast + four basic: two basic channels time-share band 2
-    t4 = tree_to_dict(allocate_bands(composition_plan((1, 0, 4), n)))
-    assert t4["band"]["slots"] == [{"channel": "u0", "decimation": 1, "phase": 0}]
-    assert t4["child"]["band"]["slots"] == [
-        {"channel": "u1", "decimation": 2, "phase": 0},
-        {"channel": "u2", "decimation": 2, "phase": 1},
-    ]
-    assert t4["child"]["child"]["band"]["slots"] == [
-        {"channel": "u3", "decimation": 1, "phase": 0}
-    ]
-    assert t4["child"]["child"]["child"] == {"kind": "leaf", "level": 3, "channel": "u4"}
+    t4 = allocate_bands(composition_plan((1, 0, 4), n))
+    assert t4 == Allocation((
+        (Slot("u0", 1, 0),),
+        (Slot("u1", 2, 0), Slot("u2", 2, 1)),
+        (Slot("u3", 1, 0),),
+    ), "u4")
+    assert t4.depth == 3
     _pass(5, "four mixed-rate topologies, incl. level-1 leaf and 2-phase band 2")
 
 

@@ -151,10 +151,13 @@ class TestPlanCommand:
             # a whole number far beyond float range, where only a float makes sense
             json.dumps(dict(J3_PLAN, channels=[dict(J3_PLAN["channels"][0], f_m_hz=10**399)]
                             + J3_PLAN["channels"][1:])),
+            # nested past the JSON parser's recursion depth, alone and inside "channels"
+            "[" * 100_000 + "]" * 100_000,
+            '{"N": 64, "J": 3, "R_bps": 64000, "B": 8, "channels": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ],
         ids=["N", "J", "R_bps", "B", "rate_bps", "bad-json", "not-utf8", "bool-B", "null-id",
              "missing-N", "int-channels", "text-f_m", "bool-f_m", "nan-f_m", "inf-f_m", "text-numbers",
-             "huge-f_m"],
+             "huge-f_m", "deep-nesting", "deep-channels"],
     )
     def test_bad_or_non_integral_plan_exits_2(self, tmp_path, content):
         path = tmp_path / "plan.json"

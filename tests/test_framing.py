@@ -596,35 +596,38 @@ def test_real_dtypes_are_read_as_float64():
 
 class TestFrameLayout:
     def test_every_composition_against_slot_walk_oracle(self):
-        # all 249 compositions for J = 1..5 at N = 2^(J+1), under haar, db4 and a random lattice wavelet
+        # all 2076 compositions for J = 1..6 at N = 2^(J+1), each declared fastest tier first and
+        # once more in a seeded shuffled order; J <= 5 declared fastest first runs under haar, db4
+        # and a random lattice wavelet, every other plan under one of the three in turn
         rng = np.random.default_rng(4)
         systems = [make_wavelet_system("haar"), make_wavelet_system("db4"),
                    make_wavelet_system(random_scaling_filter(rng, 3), name="lattice6")]
         matrices = {}
         swept = 0
-        for j in range(1, 6):
+        for j in range(1, 7):
             n = 1 << (j + 1)
             for comp in enumerate_compositions(j):
-                rates = [64000 << (j - tier) for tier, count in enumerate(comp, start=1) for _ in range(count)]
-                plan = make_plan(n, j, rates)
-                layout = plan.layout
-                assert np.array_equal(np.sort(layout.index), np.arange(n))
-                samples = {ch.id: rng.uniform(-1, 1, hi - lo) for ch, (lo, hi) in zip(plan.channels, layout.bounds)}
-                flat = slot_walk_coefficients(layout.tree, samples, n)
-                sent = [TributaryPayload.from_samples(cid, v) for cid, v in samples.items()]
-                bits = random_payloads(plan, swept)
-                for system in systems:
-                    key = (n, layout.depth, system.name)
-                    if key not in matrices:
-                        matrices[key] = dense_synthesis_matrix(n, layout.depth, system.g, system.h)
-                    line = mux(plan, system, sent)
-                    np.testing.assert_allclose(line.samples, matrices[key] @ flat, rtol=0, atol=1e-12)
-                    for want, got in zip(sent, demux(plan, system, line, digital=False)):
-                        assert got.id == want.id and np.all(np.abs(got.samples - want.samples) <= 1e-10)
-                    recovered = demux(plan, system, mux(plan, system, bits))
-                    assert [(p.id, p.bits) for p in recovered] == [(p.id, p.bits) for p in bits]
-                swept += 1
-        assert swept == 249
+                tiers = [64000 << (j - tier) for tier, count in enumerate(comp, start=1) for _ in range(count)]
+                for rates in (tiers, [tiers[k] for k in rng.permutation(len(tiers))]):
+                    plan = make_plan(n, j, rates)
+                    layout = plan.layout
+                    assert np.array_equal(np.sort(layout.index), np.arange(n))
+                    samples = {ch.id: rng.uniform(-1, 1, hi - lo) for ch, (lo, hi) in zip(plan.channels, layout.bounds)}
+                    flat = slot_walk_coefficients(layout.allocation, samples, n)
+                    sent = [TributaryPayload.from_samples(cid, v) for cid, v in samples.items()]
+                    bits = random_payloads(plan, swept)
+                    for system in systems if j <= 5 and rates is tiers else [systems[swept % 3]]:
+                        key = (n, layout.depth, system.name)
+                        if key not in matrices:
+                            matrices[key] = dense_synthesis_matrix(n, layout.depth, system.g, system.h)
+                        line = mux(plan, system, sent)
+                        np.testing.assert_allclose(line.samples, matrices[key] @ flat, rtol=0, atol=1e-12)
+                        for want, got in zip(sent, demux(plan, system, line, digital=False)):
+                            assert got.id == want.id and np.all(np.abs(got.samples - want.samples) <= 1e-10)
+                        recovered = demux(plan, system, mux(plan, system, bits))
+                        assert [(p.id, p.bits) for p in recovered] == [(p.id, p.bits) for p in bits]
+                    swept += 1
+        assert swept == 2 * 2076
 
     def test_plan_validated_once_across_calls(self, db4, monkeypatch):
         validate = wavemux.rateplan.validate_plan
@@ -635,6 +638,12 @@ class TestFrameLayout:
         for _ in range(25):
             demux(plan, db4, mux(plan, db4, payloads), digital=False)
         assert len(calls) == 1
+
+    def test_layouts_compare_by_identity(self):
+        # comparing index and inverse field by field would ask an array for one truth value
+        layout = make_plan(64, 3, [256000] + [64000] * 4).layout
+        assert (layout == layout) is True
+        assert (layout == make_plan(64, 3, [256000] + [64000] * 4).layout) is False
 
     def test_index_is_read_only(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from wavemux import (
     BadDepth,
+    DataError,
     FilterPair,
     NotOrthonormal,
     OddLength,
@@ -306,6 +307,16 @@ class TestCascade:
     def test_bad_depth_rejected(self, haar):
         self._refusals(analyze, haar)
         self._refusals(synthesize, haar)
+
+    @pytest.mark.parametrize("kind", ["complex", "text"])
+    def test_complex_and_text_input_rejected(self, haar, kind):
+        # a cast to float would drop the imaginary part with a ComplexWarning,
+        # which the test configuration makes an error, or parse the text
+        x = np.zeros(8) + 1j if kind == "complex" else np.full(8, "0.5")
+        with pytest.raises(DataError, match="signal: samples must be real numbers"):
+            analyze(x, 1, haar)
+        with pytest.raises(DataError, match="coefficients: samples must be real numbers"):
+            synthesize(x, 1, haar)
 
     def test_malformed_frames_rejected(self, haar):
         # coefficients that do not tile a dyadic frame of the given depth

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wavemux import (
-    BadPhase,
+    Allocation,
     BadResolution,
     CapacityMismatch,
     Channel,
@@ -17,26 +17,19 @@ from wavemux import (
     DuplicateChannel,
     IllegalRate,
     JTooLarge,
-    LeafNode,
     NotPowerOfTwoN,
     NTooLarge,
     RateInconsistentWithFm,
     RatePlan,
-    SplitNode,
+    Slot,
     aggregate_rate,
     allocate_bands,
     count_compositions,
     enumerate_compositions,
     frame_time,
-    iter_band_slots,
     plan_from_dict,
     plan_to_dict,
-    slot_indices,
     tree_depth,
-    tree_from_dict,
-    tree_leaf,
-    tree_to_dict,
-    tree_to_json,
     tributary_rates,
     validate_plan,
 )
@@ -244,30 +237,8 @@ class TestValidatePlan:
             validate_plan(equal_rate_plan(64, 3, 64000, b))
 
 
-class TestSlotIndices:
-    def test_examples(self):
-        assert slot_indices(8, 2, 1).tolist() == [1, 3, 5, 7]
-        assert slot_indices(8, 1, 0).tolist() == list(range(8))
-        assert slot_indices(8, 4, 2).tolist() == [2, 6]
-
-    def test_bad_phase(self):
-        with pytest.raises(BadPhase):
-            slot_indices(8, 2, 2)
-        with pytest.raises(BadPhase):
-            slot_indices(8, 2, -1)
-
-    def test_bad_decimation(self):
-        with pytest.raises(ValueError):
-            slot_indices(8, 3, 0)
-        with pytest.raises(ValueError):
-            slot_indices(4, 8, 0)
-
-
-def slots_by_level(tree):
-    out: dict[int, list] = {}
-    for level, slot in iter_band_slots(tree):
-        out.setdefault(level, []).append(slot)
-    return out
+def slots_by_level(allocation):
+    return dict(enumerate(allocation.bands, start=1))
 
 
 class TestAllocateBands:
@@ -275,25 +246,22 @@ class TestAllocateBands:
         # one channel fills detail band 1, the other rides the level-1
         # approximation untransformed
         plan = make_plan(64, 3, 64000, 8, [256000, 256000])
-        tree = allocate_bands(plan)
-        assert isinstance(tree, SplitNode) and tree.level == 0
-        assert [s.channel_id for s in tree.band] == ["ch0"]
-        assert tree.band[0].decimation == 1
-        leaf = tree_leaf(tree)
-        assert isinstance(leaf, LeafNode) and leaf.level == 1 and leaf.channel_id == "ch1"
+        allocation = allocate_bands(plan)
+        assert allocation == Allocation(((Slot("ch0", 1, 0),),), "ch1")
+        assert allocation.depth == 1
 
     def test_fast_plus_two_medium(self):
         plan = make_plan(64, 3, 64000, 8, [256000, 128000, 128000])
-        tree = allocate_bands(plan)
-        by_level = slots_by_level(tree)
+        allocation = allocate_bands(plan)
+        by_level = slots_by_level(allocation)
         assert [s.channel_id for s in by_level[1]] == ["ch0"]
         assert [s.channel_id for s in by_level[2]] == ["ch1"]
-        assert tree_leaf(tree) == LeafNode(level=2, channel_id="ch2")
+        assert (allocation.leaf, allocation.depth) == ("ch2", 2)
 
     def test_one_fast_four_basic(self):
         plan = make_plan(64, 3, 64000, 8, [256000, 64000, 64000, 64000, 64000])
-        tree = allocate_bands(plan)
-        by_level = slots_by_level(tree)
+        allocation = allocate_bands(plan)
+        by_level = slots_by_level(allocation)
         assert [s.channel_id for s in by_level[1]] == ["ch0"]
         # two basic channels time-share band 2 on opposite phases
         assert [(s.channel_id, s.decimation, s.phase) for s in by_level[2]] == [
@@ -301,55 +269,55 @@ class TestAllocateBands:
             ("ch2", 2, 1),
         ]
         assert [s.channel_id for s in by_level[3]] == ["ch3"]
-        assert tree_leaf(tree) == LeafNode(level=3, channel_id="ch4")
+        assert (allocation.leaf, allocation.depth) == ("ch4", 3)
 
     def test_equal_rate_ladder(self):
-        tree = allocate_bands(equal_rate_plan(64, 3))
-        by_level = slots_by_level(tree)
+        allocation = allocate_bands(equal_rate_plan(64, 3))
+        by_level = slots_by_level(allocation)
         assert [s.phase for s in by_level[1]] == [0, 1, 2, 3]
         assert all(s.decimation == 4 for s in by_level[1])
         assert [s.phase for s in by_level[2]] == [0, 1]
         assert len(by_level[3]) == 1
-        assert tree_leaf(tree).level == 3
+        assert allocation.depth == 3
 
     def test_rate_sorting_beats_declaration_order(self):
         plan = make_plan(64, 3, 64000, 8, [64000, 64000, 256000, 128000])
-        tree = allocate_bands(plan)
-        by_level = slots_by_level(tree)
+        allocation = allocate_bands(plan)
+        by_level = slots_by_level(allocation)
         assert [s.channel_id for s in by_level[1]] == ["ch2"]  # fastest first
         assert [s.channel_id for s in by_level[2]] == ["ch3"]
         assert [s.channel_id for s in by_level[3]] == ["ch0"]
-        assert tree_leaf(tree).channel_id == "ch1"
+        assert allocation.leaf == "ch1"
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
     def test_every_composition_allocates_cleanly(self, j):
         n = 1 << max(j, 6)
         for comp in enumerate_compositions(j):
             plan = expand_composition(comp, n)
-            tree = allocate_bands(plan)
-            self._assert_units_conserved(plan, tree)
-            self._assert_buddy_disjoint(plan, tree)
+            allocation = allocate_bands(plan)
+            self._assert_units_conserved(plan, allocation)
+            self._assert_buddy_disjoint(plan, allocation)
 
-    def _assert_units_conserved(self, plan, tree):
+    def _assert_units_conserved(self, plan, allocation):
         j = plan.levels
         units = 0
         seen = []
-        for level, slot in iter_band_slots(tree):
-            units += (1 << (j - level)) // slot.decimation
-            seen.append(slot.channel_id)
-        leaf = tree_leaf(tree)
-        units += 1 << (j - leaf.level)
-        seen.append(leaf.channel_id)
+        for level, slots in slots_by_level(allocation).items():
+            for slot in slots:
+                units += (1 << (j - level)) // slot.decimation
+                seen.append(slot.channel_id)
+        units += 1 << (j - allocation.depth)
+        seen.append(allocation.leaf)
         assert units == 1 << j
         assert sorted(seen) == sorted(c.id for c in plan.channels)
 
-    def _assert_buddy_disjoint(self, plan, tree):
-        by_level = slots_by_level(tree)
-        for level, slots in by_level.items():
+    def _assert_buddy_disjoint(self, plan, allocation):
+        for level, slots in slots_by_level(allocation).items():
             band_len = plan.blocklength >> level
             owned: set[int] = set()
             for s in slots:
-                idx = set(slot_indices(band_len, s.decimation, s.phase).tolist())
+                assert 0 <= s.phase < s.decimation and band_len % s.decimation == 0
+                idx = set(range(s.phase, band_len, s.decimation))
                 assert not idx & owned
                 owned |= idx
 
@@ -362,7 +330,7 @@ class TestAllocateBands:
             for _ in range(2):
                 rng.shuffle(rates)
                 plan = make_plan(1 << j, j, 64000, 8, rates)
-                assert tree_to_dict(allocate_bands(plan)) == buddy_allocation(plan), (comp, rates)
+                assert allocate_bands(plan) == buddy_allocation(plan), (comp, rates)
 
     @pytest.mark.parametrize("j, sample", [(7, 600), (8, 300)])
     def test_sampled_compositions_match_buddy_oracle(self, j, sample):
@@ -371,32 +339,39 @@ class TestAllocateBands:
             rates = [c.rate for c in expand_composition(comp, 1 << j).channels]
             rng.shuffle(rates)
             plan = make_plan(1 << j, j, 64000, 8, rates)
-            assert tree_to_dict(allocate_bands(plan)) == buddy_allocation(plan), (comp, rates)
+            assert allocate_bands(plan) == buddy_allocation(plan), (comp, rates)
 
     def test_all_basic_rate_plan_at_j16_in_closed_form(self):
         # 65536 channels: band l holds 2^(J-l) slots at decimation 2^(J-l) with
         # phases 0, 1, 2, ... in declaration order, and the last channel is the leaf
         j = 16
-        tree = allocate_bands(equal_rate_plan(1 << j, j))
+        allocation = allocate_bands(equal_rate_plan(1 << j, j))
         first = 0
-        for level, slots in slots_by_level(tree).items():
+        for level, slots in slots_by_level(allocation).items():
             width = 1 << (j - level)
             assert [(s.channel_id, s.decimation, s.phase) for s in slots] == [
                 (f"ch{first + k}", width, k) for k in range(width)
             ]
             first += width
         assert first == (1 << j) - 1
-        assert tree_leaf(tree) == LeafNode(level=j, channel_id=f"ch{first}")
+        assert (allocation.leaf, allocation.depth) == (f"ch{first}", j)
 
-    def test_deterministic_serialization(self):
-        plan = make_plan(128, 4, 64000, 8, [512000, 128000, 128000, 64000, 64000, 64000, 64000])
-        blobs = {tree_to_json(allocate_bands(plan)) for _ in range(5)}
-        assert len(blobs) == 1
+    def test_deterministic_allocation(self):
+        # equal plans, compiled apart, give equal allocations
+        rates = [512000, 128000, 128000, 64000, 64000, 64000, 64000]
+        allocations = {allocate_bands(make_plan(128, 4, 64000, 8, rates)) for _ in range(5)}
+        assert len(allocations) == 1
 
-    def test_tree_json_round_trip(self):
-        tree = allocate_bands(equal_rate_plan(64, 3))
-        assert tree_from_dict(tree_to_dict(tree)) == tree
-        assert tree_depth(tree) == 3
+    def test_allocation_is_a_value(self):
+        # equal by value, and hashable: a separately compiled equal plan's allocation finds it in a dict
+        allocation = allocate_bands(equal_rate_plan(64, 3))
+        assert allocation == Allocation((
+            tuple(Slot(f"ch{k}", 4, k) for k in range(4)),
+            (Slot("ch4", 2, 0), Slot("ch5", 2, 1)),
+            (Slot("ch6", 1, 0),),
+        ), "ch7")
+        assert {allocation: 1}[allocate_bands(equal_rate_plan(64, 3))] == 1
+        assert tree_depth(allocation) == allocation.depth == 3
 
 
 def test_plan_dict_round_trip():

@@ -136,6 +136,12 @@ class TestDerivedPair:
         with pytest.raises(TypeError):
             FilterPair("x", DB4_G, DB4_G)
 
+    def test_pairs_compare_and_hash_by_identity(self):
+        # comparing the taps field by field would ask an array for one truth value
+        a, b = make_wavelet_system("haar"), make_wavelet_system("haar")
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert {a: "a", b: "b"}[a] == "a"
+
 
 class TestCheckOrthonormality:
     def test_builtins_clean_at_tight_tolerance(self):
