@@ -8,6 +8,7 @@ its result types) so that agreement between the two is meaningful.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -47,9 +48,10 @@ def compositions_by_product_scan(levels: int) -> list[tuple[int, ...]]:
     Feasible up to about 5 levels; the search space is prod_j (2^j + 1).
     """
     total = 1 << levels
+    weights = [1 << (levels - j) for j in range(1, levels + 1)]
     found = []
     for vec in itertools.product(*[range((1 << j) + 1) for j in range(1, levels + 1)]):
-        if sum(n << (levels - j) for j, n in enumerate(vec, start=1)) == total:
+        if sum(map(operator.mul, vec, weights)) == total:
             found.append(vec)
     return found
 
@@ -66,15 +68,18 @@ def compositions_by_pruned_scan(levels: int) -> list[tuple[int, ...]]:
     cur = [0] * levels
 
     def scan(j: int, remaining: int) -> None:
-        if j == levels:
-            if remaining <= (1 << levels):
-                cur[-1] = remaining
-                found.append(tuple(cur))
+        if j == levels:  # a single tier: it takes the whole frame
+            cur[-1] = remaining
+            found.append(tuple(cur))
             return
         w = 1 << (levels - j)
         for n in range(min(remaining // w, 1 << j) + 1):
             cur[j - 1] = n
-            scan(j + 1, remaining - n * w)
+            if j + 1 < levels:
+                scan(j + 1, remaining - n * w)
+            elif remaining - n * w <= total:  # the last tier, bound n_J <= 2^J
+                cur[-1] = remaining - n * w
+                found.append(tuple(cur))
 
     scan(1, total)
     return found
