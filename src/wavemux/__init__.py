@@ -18,6 +18,7 @@ from .errors import (
     DataError,
     DepthExceedsBlocklength,
     DuplicateChannel,
+    DuplicatePayload,
     IllegalRate,
     JTooLarge,
     MissingChannel,

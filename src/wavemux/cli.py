@@ -45,8 +45,7 @@ from .rateplan import (
     load_plan,
     tributary_rates,
 )
-# dft_magnitude is unused here, but perfbench/tracing.py wraps it in this module by name
-from .spectrum import SpectrumReport, dft_magnitude, random_payloads, tdm_reference, write_report_csv  # noqa: F401
+from .spectrum import SpectrumReport, random_payloads, tdm_reference, write_report_csv
 from .wavelets import (
     FilterPair,
     decimal_rows,
@@ -243,11 +242,7 @@ def cmd_demux(args: argparse.Namespace) -> int:
         if args.payload == "samples":
             files[f"{ch.id}.samples"] = _encode_samples(stream.reshape(-1), args.format)
             continue
-        try:
-            files[f"{ch.id}.bits"] = _dequantize_packed(stream, plan.resolution)
-        except OffGrid as exc:
-            frame = exc.index // (hi - lo)
-            raise OffGrid(f"channel {ch.id!r}, frame {frame}: {exc}", index=exc.index) from exc
+        files[f"{ch.id}.bits"] = _dequantize_packed(stream, plan.resolution, ch.id)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -62,6 +62,10 @@ class IllegalRate(ConfigError):
     """A channel rate is outside the admissible tributary rate set."""
 
 
+class DuplicateChannel(ConfigError):
+    """A plan declares the same channel id more than once."""
+
+
 class CapacityMismatch(ConfigError):
     """Declared channel rates do not add up to the aggregate rate."""
 
@@ -84,8 +88,8 @@ class MissingChannel(DataError):
     """A declared channel has no payload."""
 
 
-class DuplicateChannel(DataError):
-    """The same channel appears more than once."""
+class DuplicatePayload(DataError):
+    """A channel's payload is given more than once."""
 
 
 class PayloadLengthMismatch(DataError):

@@ -43,7 +43,8 @@ next frame's are made, the fresh TDM row and gathered row cost about 500
 minor page faults per frame, and the in-order path with the reused row
 none. Both transmit paths reject a row holding NaN or an infinity
 (NonFiniteSample), which synthesis would otherwise spread over every
-channel of the frame; ``demux_frames`` and ``demux`` in sample mode
+channel of the frame, and a finite row whose line would overflow
+(DataError); ``demux_frames`` and ``demux`` in sample mode
 reject a recovered one (OffGrid), which only a corrupt line leaves.
 Every sample array enters through :func:`mra._real`, which refuses
 complex and text dtypes (DataError) instead of casting them to float.
@@ -73,9 +74,9 @@ B-bit words back to back, most significant bit first. A run of
 three, eight 5-bit words five), so the bytes are read as a table with
 one such group per row. ``_quantize_packed`` builds word j of every
 group at once from the bytes it spans, by shifts and ORs over whole
-columns, and ``_dequantize_packed`` runs the guard-band test in place in
-two work arrays, then ORs every output byte together from the words
-it holds bits of; neither makes a Python call per word. The public
+columns, and ``_dequantize_packed`` runs the guard-band test in word
+units in two work arrays, then ORs every output byte together from the
+words it holds bits of; neither makes a Python call per word. The public
 ``quantize_words`` and ``dequantize_samples`` keep bit strings at the
 API and convert at the edge only: one ``np.packbits`` of the ASCII view
 ('0' = 48) on the way in, one ``np.unpackbits`` on the way out. The
@@ -91,7 +92,8 @@ import numpy as np
 
 from .errors import (
     BadLength,
-    DuplicateChannel,
+    DataError,
+    DuplicatePayload,
     MissingChannel,
     NonFiniteSample,
     OffGrid,
@@ -99,9 +101,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .mra import _real, _scratch, analyze, synthesize
-# allocate_bands, plan_digest and validate_plan are unused here, but
-# perfbench/tracing.py wraps them in this module by name
-from .rateplan import FrameLayout, RatePlan, _check_resolution, allocate_bands, plan_digest, validate_plan  # noqa: F401
+from .rateplan import FrameLayout, RatePlan, _check_resolution
 from .wavelets import FilterPair
 
 __all__ = [
@@ -237,43 +237,46 @@ def _pack_words(words: np.ndarray, resolution: int) -> np.ndarray:
     return rows.T.reshape(-1)[: -(-count * resolution // 8)]
 
 
-def _dequantize_packed(values: np.ndarray, resolution: int) -> np.ndarray:
+def _dequantize_packed(values: np.ndarray, resolution: int, channel: str | None = None) -> np.ndarray:
     """Decode samples to packed bytes (MSB first); nearest level with guard band.
 
     The codec core behind :func:`dequantize_samples` and ``wavemux demux``.
     ``values`` may have any shape; its samples are read in order. Raises
     OffGrid, with ``index`` set to the first offending sample, if any
-    sample lies farther than 2^-(B+1) from every legal level. Callers
-    have checked the resolution, as for :func:`_quantize_packed`.
+    sample lies farther than 2^-(B+1) from every legal level. Given the
+    ``channel`` id, the message names it, and for a ``(frames, M)``
+    stream also the frame of that sample. Callers have checked the
+    resolution, as for :func:`_quantize_packed`.
+
+    The test runs in word units: u = v 2^(B-1) + (2^B - 1)/2 is the word
+    v would encode, and v - level(w) = 2 (u - w) / 2^B, so a sample is on
+    the grid when |u - rint(u)| <= 1/4. Every sample beyond [-1, 1] is off
+    the grid, so v is clipped to that range first: u then lies in
+    [-1/2, 2^B - 1/2] and cannot overflow, however large v is, and every
+    rint(u) that passes the test is a word in 0 .. 2^B - 1 without a clip.
     """
     v = np.asarray(values, dtype=float)
     scale = float(1 << resolution)
-    # w = clip(rint((v 2^B - 1 + 2^B) / 2), 0, 2^B - 1) and its level, in place
-    nearest = v * scale
-    nearest -= 1.0
-    nearest += scale
-    nearest /= 2.0
-    np.rint(nearest, out=nearest)
-    # clip to 0 .. 2^B - 1: np.clip gives the same words, but its argument
-    # handling costs about 5 us a call, a quarter of a 64-sample decode
-    np.maximum(nearest, 0.0, out=nearest)
-    np.minimum(nearest, scale - 1.0, out=nearest)
-    distance = nearest * 2.0
-    distance += 1.0
-    distance -= scale
-    distance /= scale
-    np.subtract(v, distance, out=distance)
-    np.abs(distance, out=distance)
-    on_grid = distance <= 0.5 / scale  # 2^-(B+1); NaN compares False, so it counts as off-grid
+    # np.clip gives the same values, but its argument handling costs about
+    # 5 us a call, a quarter of a 64-sample decode
+    u = np.maximum(v, -1.0)
+    np.minimum(u, 1.0, out=u)
+    u *= scale / 2.0
+    u += (scale - 1.0) / 2.0
+    words = np.rint(u)
+    u -= words
+    np.abs(u, out=u)
+    on_grid = u <= 0.25  # NaN compares False, so it counts as off-grid
     if not on_grid.all():
         bad = ~on_grid.reshape(-1)
         k = int(np.argmax(bad))
-        raise OffGrid(
-            f"{int(bad.sum())} of {v.size} samples off-grid at B={resolution};"
-            f" first at index {k}: value {v.flat[k]:.6g}",
-            index=k,
-        )
-    return _pack_words(nearest.reshape(-1), resolution)
+        report = (f"{int(bad.sum())} of {v.size} samples off-grid at B={resolution};"
+                  f" first at index {k}: value {v.flat[k]:.6g}")
+        if channel is not None:
+            where = f"channel {channel!r}" if v.ndim == 1 else f"channel {channel!r}, frame {k // v.shape[-1]}"
+            report = f"{where}: {report}"
+        raise OffGrid(report, index=k)
+    return _pack_words(words.reshape(-1), resolution)
 
 
 def quantize_words(bits: str, resolution: int) -> np.ndarray:
@@ -322,7 +325,7 @@ def _index_payloads(plan: RatePlan, payloads) -> dict[str, TributaryPayload]:
     by_id: dict[str, TributaryPayload] = {}
     for p in payloads:
         if p.id in by_id:
-            raise DuplicateChannel(f"payload for channel {p.id!r} given twice")
+            raise DuplicatePayload(f"payload for channel {p.id!r} given twice")
         by_id[p.id] = p
     declared = {c.id for c in plan.channels}
     missing = declared - set(by_id)
@@ -452,8 +455,14 @@ def _transmit(layout: FrameLayout, system: FilterPair, rows: np.ndarray, out: np
 
     The scatter writes the flat coefficients into ``out`` itself, which
     synthesis reads before it writes; in order, synthesis reads the rows.
+    Finite rows whose line would leave the float range raise DataError:
+    synthesis would write infinities and NaN, which no receiver decodes.
     """
-    return synthesize(assemble_frame(layout, rows, out), layout.depth, system, out)
+    try:
+        with np.errstate(over="raise"):
+            return synthesize(assemble_frame(layout, rows, out), layout.depth, system, out)
+    except FloatingPointError as exc:
+        raise DataError(f"synthesis overflows the float range ({exc}); payload samples must be far smaller") from exc
 
 
 def _receive(layout: FrameLayout, system: FilterPair, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -543,9 +552,6 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
         # that channel alone reports its own count and index
         _, c, _ = _locate(plan, exc.index)
         lo, hi = layout.bounds[c]
-        try:
-            _dequantize_packed(row[lo:hi], b)
-        except OffGrid as inner:
-            raise OffGrid(f"channel {plan.channels[c].id!r}: {inner}", index=inner.index) from inner
+        _dequantize_packed(row[lo:hi], b, plan.channels[c].id)
         raise
     return [TributaryPayload.from_bits(ch.id, bits[lo * b : hi * b]) for ch, (lo, hi) in channels]

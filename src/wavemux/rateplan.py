@@ -243,7 +243,7 @@ def validate_plan(plan: RatePlan) -> Composition:
 
     Raises NotPowerOfTwoN, NTooLarge, DepthExceedsBlocklength, BadResolution,
     IllegalRate, RateInconsistentWithFm, DuplicateChannel, or
-    CapacityMismatch.
+    CapacityMismatch, each a ConfigError.
     """
     _validate_parameters(plan)
 
@@ -360,7 +360,7 @@ class FrameLayout:
     """Where every sample of a frame sits, compiled once from a valid plan.
 
     ``allocation`` places each channel in a detail band or the leaf, and
-    ``depth`` is ``allocation.depth``, kept as a field because the frame
+    ``depth`` is ``allocation.depth``, set once here because the frame
     path reads it on every call. A frame's TDM row holds the channels'
     samples concatenated in declaration order, channel ``i`` at
     ``row[lo:hi]`` for ``(lo, hi) = bounds[i]``. Its flat coefficient
@@ -383,10 +383,10 @@ class FrameLayout:
 
     composition: Composition
     allocation: Allocation
-    depth: int
     digest: str
     bounds: tuple[tuple[int, int], ...]
     index: np.ndarray
+    depth: int = field(init=False)
     in_order: bool = field(init=False)
     inverse: np.ndarray | None = field(init=False)
 
@@ -398,6 +398,7 @@ class FrameLayout:
             inverse = np.empty_like(self.index)
             inverse[self.index] = np.arange(self.index.size)
             inverse.flags.writeable = False
+        object.__setattr__(self, "depth", self.allocation.depth)
         object.__setattr__(self, "in_order", in_order)
         object.__setattr__(self, "inverse", inverse)
 
@@ -413,8 +414,7 @@ def _compile_layout(plan: RatePlan) -> FrameLayout:
     ends = np.cumsum([flat[ch.id].size for ch in plan.channels]).tolist()
     index = np.concatenate([flat[ch.id] for ch in plan.channels])
     index.flags.writeable = False
-    return FrameLayout(composition, allocation, allocation.depth, plan_digest(plan),
-                       tuple(zip([0] + ends[:-1], ends)), index)
+    return FrameLayout(composition, allocation, plan_digest(plan), tuple(zip([0] + ends[:-1], ends)), index)
 
 
 # ------------------------------------------------------------- serialization

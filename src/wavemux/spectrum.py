@@ -24,6 +24,7 @@ import numpy as np
 
 from .framing import TributaryPayload, mux
 from .framing import tdm_row as tdm_reference
+from .mra import _real
 from .rateplan import RatePlan
 from .wavelets import FilterPair, decimal_rows
 
@@ -47,8 +48,8 @@ class SpectrumReport:
     energy_mrdm: float
 
     def __post_init__(self) -> None:
-        mag_tdm = np.asarray(self.mag_tdm, dtype=float)
-        mag_mrdm = np.asarray(self.mag_mrdm, dtype=float)
+        mag_tdm = _real(self.mag_tdm, "TDM magnitudes")
+        mag_mrdm = _real(self.mag_mrdm, "multiplexed magnitudes")
         object.__setattr__(self, "mag_tdm", mag_tdm)
         object.__setattr__(self, "mag_mrdm", mag_mrdm)
         if mag_tdm.shape != mag_mrdm.shape or mag_tdm.ndim != 1:
@@ -56,7 +57,7 @@ class SpectrumReport:
 
     @classmethod
     def from_signals(cls, x_tdm: np.ndarray, x_mrdm: np.ndarray) -> "SpectrumReport":
-        """Spectra and energies of a TDM reference and its multiplexed line."""
+        """Spectra and energies of a TDM reference and its multiplexed line, both real (DataError otherwise)."""
         return cls(
             mag_tdm=dft_magnitude(x_tdm),
             mag_mrdm=dft_magnitude(x_mrdm),
@@ -75,8 +76,8 @@ class SpectrumReport:
 
 
 def dft_magnitude(x: np.ndarray) -> np.ndarray:
-    """|X[k]| for k = 0..N-1 of the unnormalized DFT."""
-    x = np.asarray(x, dtype=float)
+    """|X[k]| for k = 0..N-1 of the unnormalized DFT of a real signal (DataError otherwise)."""
+    x = _real(x, "signal")
     if x.ndim != 1 or x.size < 1:
         raise ValueError("dft_magnitude expects a nonempty 1-D array")
     return np.abs(np.fft.fft(x))

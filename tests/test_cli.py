@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestPlanCommand:
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["plan", "--plan", str(tmp_path / "nope.json")]) == 3
+
+    def test_duplicate_channel_id_exits_2_in_every_subcommand(self, tmp_path, capsys):
+        channels = [dict(ch, id=cid) for ch, cid in zip(J3_PLAN["channels"], ("a", "bravo", "a"))]
+        plan = write_plan(tmp_path, dict(J3_PLAN, channels=channels))
+        assert main(["plan", "--plan", plan]) == 2
+        assert capsys.readouterr().err == "plan invalid: DuplicateChannel: channel id 'a' declared twice\n"
+        payloads = write_random_payloads(tmp_path, J3_PLAN)
+        sig = tmp_path / "sig.f64"
+        sig.write_bytes(np.zeros(64, dtype="<f8").tobytes())
+        for argv in (["mux", str(payloads), "--out", str(tmp_path / "out.f64")],
+                     ["demux", str(sig), "--out", str(tmp_path / "rx")],
+                     ["spectrum", "--out", str(tmp_path / "spectrum.csv")],
+                     ["roundtrip"]):
+            assert main([*argv, "--plan", plan]) == 2, argv[0]
+            assert capsys.readouterr().err == "error: DuplicateChannel: channel id 'a' declared twice\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["payloads", "plan.json", "sig.f64"]
 
     @pytest.mark.parametrize(
         "content",
@@ -487,6 +504,32 @@ class TestMuxDemuxCommands:
         assert main(["demux", str(sig), *common, "--out", str(tmp_path / "rx")]) == 4
         assert capsys.readouterr().err.startswith("demux integrity failure: channel 'alpha', frame 0: ")
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_line_sample_exits_4_without_warnings(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=2, seed=16)
+        sig = tmp_path / "sig.f64"
+        common = ["--plan", plan_file, "--wavelet", "db4"]
+        assert main(["mux", str(payloads), *common, "--out", str(sig)]) == 0
+        samples = np.frombuffer(sig.read_bytes(), dtype="<f8").copy()
+        samples[64 + 7] = 1e308  # frame 1
+        sig.write_bytes(samples.tobytes())
+        capsys.readouterr()
+        assert main(["demux", str(sig), *common, "--out", str(tmp_path / "rx")]) == 4
+        assert capsys.readouterr().err.startswith("demux integrity failure: channel 'alpha', frame 1: ")
+        assert not (tmp_path / "rx").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_line_beyond_the_float_range_exits_3_without_warnings(self, tmp_path, plan_file, capsys):
+        directory = tmp_path / "payloads"
+        directory.mkdir()
+        for cid, cnt in {"alpha": 32, "bravo": 16, "charlie": 16}.items():
+            (directory / f"{cid}.samples").write_bytes(np.full(cnt, 1.7e308, dtype="<f8").tobytes())
+        capsys.readouterr()
+        assert main(["mux", str(directory), "--plan", plan_file, "--wavelet", "db4",
+                     "--out", str(tmp_path / "sig")]) == 3
+        assert capsys.readouterr().err.startswith("error: DataError: synthesis overflows the float range")
+        assert not (tmp_path / "sig").exists()
+
     @pytest.mark.parametrize("b", [25, 33])
     def test_resolution_above_24_exits_2(self, tmp_path, b):
         doc = dict(J3_PLAN, B=b)
@@ -660,6 +703,84 @@ class TestMuxDemuxCommands:
             sent = np.frombuffer((directory / f"{cid}.samples").read_bytes(), dtype="<f8")
             got = np.frombuffer((out_dir / f"{cid}.samples").read_bytes(), dtype="<f8")
             np.testing.assert_allclose(got, sent, atol=1e-10)
+
+
+def corruptions(rng, data, cases):
+    """(kind, bytes) pairs: ``data`` cut short at seeded offsets (and at 0), then with one seeded byte flipped."""
+    for cut in sorted({0, *rng.integers(0, len(data), cases).tolist()}):
+        yield "cut", data[:cut]
+    for at in rng.integers(0, len(data), cases).tolist():
+        flipped = bytearray(data)
+        flipped[at] ^= int(rng.integers(1, 256))
+        yield "flip", bytes(flipped)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCorruptFiles:
+    """Seeded cuts and byte flips of small payload and line files on the J = 3 plan.
+
+    Each case exits with its documented code (0, 3 for shape or content,
+    4 for a line off the grid) and one line on stderr; a NumPy warning
+    would raise, and so would any other exception. A cut that leaves no
+    whole frame exits 3, and a demux that fails writes no payload file.
+    """
+
+    FRAMES = 2
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), (argv, err)
+        prefix = {0: "", 3: "error: ", 4: "demux integrity failure: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == (code != 0), (argv, err)
+        return code
+
+    def test_payload_files(self, tmp_path, plan_file, capsys):
+        rng = np.random.default_rng(600)
+        clean = write_random_payloads(tmp_path, J3_PLAN, frames=self.FRAMES, seed=600)
+        samples_dir = tmp_path / "samples"
+        samples_dir.mkdir()
+        for cid, cnt in {"alpha": 32, "bravo": 16, "charlie": 16}.items():
+            values = rng.uniform(-1, 1, cnt * self.FRAMES)
+            (samples_dir / f"{cid}.samples").write_bytes(values.astype("<f8").tobytes())
+        sig, rx = tmp_path / "sig.f64", tmp_path / "rx"
+        for source, suffix in ((clean, "bits"), (samples_dir, "samples")):
+            for cid in ("alpha", "bravo", "charlie"):
+                path = source / f"{cid}.{suffix}"
+                data = path.read_bytes()
+                for kind, bad in corruptions(rng, data, 8):
+                    path.write_bytes(bad)
+                    sig.unlink(missing_ok=True)
+                    code = self.run(capsys, ["mux", str(source), "--plan", plan_file, "--wavelet", "db4",
+                                             "--out", str(sig)])
+                    assert sig.exists() == (code == 0)
+                    if kind == "cut":  # every cut of a two-frame file leaves a partial or a lone frame
+                        assert code == 3
+                    elif suffix == "bits":  # every byte is payload: the flip comes back exactly
+                        assert code == 0
+                        assert self.run(capsys, ["demux", str(sig), "--plan", plan_file, "--wavelet", "db4",
+                                                 "--out", str(rx)]) == 0
+                        assert (rx / path.name).read_bytes() == bad
+                path.write_bytes(data)
+
+    @pytest.mark.parametrize("fmt", ["raw", "csv"])
+    def test_line_files(self, tmp_path, plan_file, capsys, fmt):
+        rng = np.random.default_rng(610)
+        payloads = write_random_payloads(tmp_path, J3_PLAN, frames=self.FRAMES, seed=610)
+        common = ["--plan", plan_file, "--wavelet", "db4", "--format", fmt]
+        sig, rx = tmp_path / "sig", tmp_path / "rx"
+        assert main(["mux", str(payloads), *common, "--out", str(sig)]) == 0
+        for kind, bad in corruptions(rng, sig.read_bytes(), 40):
+            sig.write_bytes(bad)
+            # a csv line holds at most one number more than it holds newlines
+            no_whole_frame = len(bad) < 64 * 8 if fmt == "raw" else bad.count(b"\n") + 1 < 64
+            for payload in ("bits", "samples"):
+                code = self.run(capsys, ["demux", str(sig), *common, "--payload", payload, "--out", str(rx)])
+                if kind == "cut" and no_whole_frame:
+                    assert code == 3, (fmt, len(bad))
+                assert rx.exists() == (code == 0)
+                shutil.rmtree(rx, ignore_errors=True)
 
 
 class TestSpectrumCommand:

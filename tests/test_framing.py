@@ -17,7 +17,7 @@ from wavemux import (
     BadResolution,
     Channel,
     DataError,
-    DuplicateChannel,
+    DuplicatePayload,
     MissingChannel,
     MuxedSignal,
     OffGrid,
@@ -146,6 +146,32 @@ class TestQuantizer:
         with pytest.raises(OffGrid):
             dequantize_samples([1.2], 8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1, 8, 24])
+    @pytest.mark.parametrize("huge", [1e308, -1e308])
+    def test_huge_finite_sample_is_off_grid_without_warnings(self, b, huge):
+        with pytest.raises(OffGrid) as info:
+            dequantize_samples([quantizer_levels(b)[0], huge], b)
+        assert str(info.value) == f"1 of 2 samples off-grid at B={b}; first at index 1: value {huge:.6g}"
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("b", [8, 24])
+    def test_one_ulp_outside_the_guard_band(self, b):
+        # the test runs on u = v 2^(B-1) + (2^B - 1)/2. Near the bottom word u
+        # is exact, so one ulp of v past the guard band is refused. Near the
+        # top word u is spaced two ulps of v apart: one ulp past the band
+        # rounds back onto its edge and decodes, two ulps are refused
+        guard = 2.0 ** -(b + 1)
+        bottom, top = quantizer_levels(b)[[0, -1]]
+        for edge in (bottom - guard, bottom + guard):
+            with pytest.raises(OffGrid):
+                dequantize_samples([np.nextafter(edge, 2 * edge - bottom)], b)
+        for edge in (top - guard, top + guard):
+            once = np.nextafter(edge, 2 * edge - top)
+            assert dequantize_samples([once], b) == "1" * b
+            with pytest.raises(OffGrid):
+                dequantize_samples([np.nextafter(once, 2 * edge - top)], b)
+
     @pytest.mark.parametrize("b", [1, 2, 4, 8, 12, 24])
     def test_round_trip_under_guard_noise(self, b):
         rng = np.random.default_rng(b)
@@ -250,6 +276,22 @@ class TestPackedCodec:
         assert (str(strided.value), strided.value.index) == (str(flat.value), flat.value.index)
         assert strided.value.index == 3 * 32 + 4
 
+    def test_channel_id_words_the_report(self):
+        # a 1-D slice is named by its channel, a (frames, M) stream also by the frame
+        b = 8
+        stream = np.tile(quantizer_levels(b)[:4], (3, 1))
+        stream[2, 1] = 0.1
+        with pytest.raises(OffGrid) as plain:
+            _dequantize_packed(stream, b)
+        with pytest.raises(OffGrid) as framed:
+            _dequantize_packed(stream, b, "x")
+        with pytest.raises(OffGrid) as sliced:
+            _dequantize_packed(stream.reshape(-1), b, "x")
+        assert str(plain.value) == "1 of 12 samples off-grid at B=8; first at index 9: value 0.1"
+        assert str(framed.value) == f"channel 'x', frame 2: {plain.value}"
+        assert str(sliced.value) == f"channel 'x': {plain.value}"
+        assert plain.value.index == framed.value.index == sliced.value.index == 9
+
 
 def assemble(plan, payloads):
     """One frame of payloads as its flat coefficients: details finest first, then the approximation."""
@@ -302,7 +344,7 @@ class TestAssembleFrame:
             TributaryPayload.from_samples("ch2", [0.0]),
             TributaryPayload.from_samples("ch3", [0.0]),
         ]
-        with pytest.raises(DuplicateChannel):
+        with pytest.raises(DuplicatePayload):
             assemble(plan, doubled)
 
     def test_payload_of_undeclared_channel_rejected(self):
@@ -728,6 +770,16 @@ class TestFrameCodec:
             recovered = demux(plan, db4, mux(plan, db4, payloads))
             assert [p.bits for p in recovered] == [p.bits for p in payloads]
         assert calls == {"quantize": 50, "dequantize": 50}
+
+    @pytest.mark.filterwarnings("error")
+    def test_line_beyond_the_float_range_rejected(self, db4):
+        plan = make_plan(64, 3, [256000] + [64000] * 4)
+        with pytest.raises(DataError, match="^synthesis overflows the float range"):
+            mux_frames(plan, db4, np.full((2, 64), 1.7e308))
+        payloads = [TributaryPayload.from_samples(ch.id, np.full(hi - lo, -1.7e308))
+                    for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds)]
+        with pytest.raises(DataError, match="^synthesis overflows the float range"):
+            mux(plan, db4, payloads)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_payload_rejected(self, db4, bad):

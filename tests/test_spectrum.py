@@ -9,8 +9,10 @@ import pytest
 
 from wavemux import (
     Channel,
+    DataError,
     PayloadLengthMismatch,
     RatePlan,
+    SpectrumReport,
     TributaryPayload,
     compare_spectra,
     dft_magnitude,
@@ -82,6 +84,21 @@ class TestDftMagnitude:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(16)
         np.testing.assert_allclose(dft_magnitude(x), naive_dft_magnitude(x), atol=1e-9)
+
+
+class TestRealSignals:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["complex", "text"])
+    def test_complex_and_text_input_rejected(self, kind):
+        x = np.zeros(8) + 1j if kind == "complex" else np.full(8, "0.5")
+        for call in (lambda: dft_magnitude(x), lambda: SpectrumReport.from_signals(x, np.zeros(8)),
+                     lambda: SpectrumReport.from_signals(np.zeros(8), x)):
+            with pytest.raises(DataError, match="^signal: samples must be real numbers"):
+                call()
+        with pytest.raises(DataError, match="^TDM magnitudes: samples must be real numbers"):
+            SpectrumReport(x, np.zeros(8), 0.0, 0.0)
+        with pytest.raises(DataError, match="^multiplexed magnitudes: samples must be real numbers"):
+            SpectrumReport(np.zeros(8), x, 0.0, 0.0)
 
 
 class TestCompareSpectra:
