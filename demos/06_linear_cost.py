@@ -18,10 +18,10 @@ octave ladder plan, which is in order (``plan.layout.in_order``): its TDM
 row already is its coefficient vector, so neither side permutes it.
 Beside ns per sample it prints the bytes a call allocates, counted by
 ``tracemalloc`` after a warm-up call: the peak of fresh memory during
-the call, as a multiple of the 8N bytes of one frame. Scratch arrays of
-128 KiB and more are reused from call to call; from N = 2^15 on every
-one a call takes is that large, and the figure is the result alone (the
-line, or the recovered row) plus, for demux, a one-byte mask per sample.
+the call, as a multiple of the 8N bytes of one frame. Scratch arrays are
+reused from call to call at every frame size, so the figure is the
+result (the line, or the recovered row) plus, for demux, a one-byte mask
+per sample, and on small frames a few hundred bytes of NumPy views.
 """
 
 import time
@@ -108,5 +108,6 @@ for p in range(10, 19, 2):
     a_demux = allocated(lambda s: demux(plan, db4, s, digital=False), line) / (8 * n)
     print(f"{'2^' + str(p):>8} {t_mux:10.2f} {t_demux:10.2f}   {'':16} {a_mux:8.2f} {a_demux:8.2f}")
 
-print("\nOn the large frames mux allocates its line (1.00) and demux its row plus a")
-print("one-byte-per-sample finiteness mask (1.13): no scratch array is fresh memory.")
+print("\nmux allocates its line (1.00) and demux its row plus a one-byte-per-sample")
+print("finiteness mask (1.13), on small frames plus a fixed few hundred bytes:")
+print("no scratch array is fresh memory.")

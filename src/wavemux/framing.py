@@ -33,15 +33,15 @@ the 1-D row of one frame of payload objects, without stacking it into
 call, cost about a third of the single-frame throughput, and at N = 64 a
 kernel call costs 30-45% more on a (1, M) array than on a 1-D one.
 :func:`mux` fills that row (what :func:`tdm_row` returns) in the
-transmit row that ``mra._scratch`` keeps for this thread, so from 128 KiB
-up, steady traffic at one frame size allocates no full-size array but
-the results: the synthesized line, and the recovered row that
-:func:`demux` slices its payloads out of. Fresh arrays are fresh pages
-whenever the allocator has given the memory back to the system since
-the last call: at N = 2^18, in a loop that keeps each result until the
-next frame's are made, the fresh TDM row and gathered row cost about 500
-minor page faults per frame, and the in-order path with the reused row
-none. Both transmit paths reject a row holding NaN or an infinity
+transmit row that ``mra._scratch`` keeps for this thread, so steady
+traffic at one frame size allocates no full-size array but the results:
+the synthesized line, and the recovered row that :func:`demux` slices
+its payloads out of. Fresh arrays are fresh pages whenever the
+allocator has given the memory back to the system since the last call:
+at N = 2^18, in a loop that keeps each result until the next frame's
+are made, the fresh TDM row and gathered row cost about 500 minor page
+faults per frame, and the in-order path with the reused row none.
+Both transmit paths reject a row holding NaN or an infinity
 (NonFiniteSample), which synthesis would otherwise spread over every
 channel of the frame, and a finite row whose line would overflow
 (DataError); ``demux_frames`` and ``demux`` in sample mode
@@ -72,15 +72,20 @@ One codec core works on packed bytes, the layout of a ``.bits`` file:
 B-bit words back to back, most significant bit first. A run of
 8/gcd(B, 8) words fills a whole number of bytes (two 12-bit words fill
 three, eight 5-bit words five), so the bytes are read as a table with
-one such group per row. ``_quantize_packed`` builds word j of every
-group at once from the bytes it spans, by shifts and ORs over whole
-columns, and ``_dequantize_packed`` runs the guard-band test in word
-units in two work arrays, then ORs every output byte together from the
-words it holds bits of; neither makes a Python call per word. The public
-``quantize_words`` and ``dequantize_samples`` keep bit strings at the
-API and convert at the edge only: one ``np.packbits`` of the ASCII view
-('0' = 48) on the way in, one ``np.unpackbits`` on the way out. The
-command line calls the core on each channel's file bytes.
+one such group per row, and both directions loop over its columns,
+never over words. ``_quantize_packed`` copies the bytes once into a
+buffer that ends in three zero bytes and reads word j of every group
+through one strided big-endian 32-bit view that starts at the word's
+first byte (a word of up to 24 bits, starting at any bit of that byte,
+lies in those 32 bits), shifted down and masked to B bits.
+``_dequantize_packed`` runs the guard-band test in word units in two
+work arrays, then ``_pack_words`` ORs every output byte together from
+the words it holds bits of and writes it straight into its column of
+the packed result. The public ``quantize_words`` and
+``dequantize_samples`` keep bit strings at the API and convert at the
+edge only: one ``np.packbits`` of the ASCII view ('0' = 48) on the way
+in, one ``np.unpackbits`` on the way out. The command line calls the
+core on each channel's file bytes.
 """
 
 from __future__ import annotations
@@ -182,24 +187,20 @@ def _quantize_packed(packed: np.ndarray, count: int, resolution: int) -> np.ndar
     """
     g, nbytes = _group(resolution)
     groups = -(-count // g)
+    if not groups:  # NumPy refuses an empty view at a nonzero offset
+        return np.empty(0)
+    # the whole groups, a short last one padded with zeros, then three zero
+    # bytes, so that the 4 bytes from any word's first byte lie inside
     data = packed[: groups * nbytes]
-    if data.size < groups * nbytes:  # a short last group reads zero bytes past the end
-        data = np.concatenate([data, np.zeros(groups * nbytes - data.size, np.uint8)])
-    # byte k of every group in row k, so that each step below runs over contiguous memory
-    rows = np.ascontiguousarray(data.reshape(groups, nbytes).T)
+    buf = np.zeros(groups * nbytes + 3, np.uint8)
+    buf[: data.size] = data
     scale = 1 << resolution
     samples = np.empty((groups, g))
-    word = np.empty(groups, np.uint32)
     for j in range(g):
-        first, last = j * resolution // 8, ((j + 1) * resolution - 1) // 8  # the bytes word j spans
-        word[:] = rows[first]
-        for k in range(first + 1, last + 1):
-            word <<= 8
-            word |= rows[k]
-        if (j + 1) * resolution % 8:  # the word ends inside byte ``last``
-            word >>= 8 - (j + 1) * resolution % 8
-        if j * resolution % 8:  # byte ``first`` starts with bits of the word before
-            word &= scale - 1
+        # word j of every group lies in the big-endian 32 bits from its first byte
+        window = np.ndarray((groups,), ">u4", buf, j * resolution // 8, (nbytes,))
+        word = window >> (32 - j * resolution % 8 - resolution)
+        word &= scale - 1
         out = samples[:, j]
         np.multiply(word, 2.0 / scale, out=out)
         out += 1.0 / scale - 1.0  # (2w + 1 - 2^B) / 2^B, exact
@@ -217,13 +218,10 @@ def _pack_words(words: np.ndarray, resolution: int) -> np.ndarray:
     if groups > whole:
         cols[:, whole] = 0
         cols[: count - whole * g, whole] = words[whole * g :]
-    rows = np.empty((nbytes, groups), np.uint8)
+    packed = np.empty((groups, nbytes), np.uint8)
     byte, part = np.empty((2, groups), np.uint32)
     for k in range(nbytes):
         first, last = 8 * k // resolution, (8 * k + 7) // resolution  # the words byte k holds bits of
-        if first == last and (last + 1) * resolution == 8 * (k + 1):
-            rows[k] = cols[last]  # byte k is the low 8 bits of one word
-            continue
         for j in range(first, last + 1):
             shift = (j + 1) * resolution - 8 * (k + 1)  # how far word j ends past byte k
             dst = byte if j == first else part
@@ -233,8 +231,8 @@ def _pack_words(words: np.ndarray, resolution: int) -> np.ndarray:
                 np.left_shift(cols[j], -shift, out=dst)
             if j > first:
                 byte |= part
-        rows[k] = byte  # the assignment keeps the low 8 bits
-    return rows.T.reshape(-1)[: -(-count * resolution // 8)]
+        packed[:, k] = byte  # the assignment keeps the low 8 bits
+    return packed.reshape(-1)[: -(-count * resolution // 8)]
 
 
 def _dequantize_packed(values: np.ndarray, resolution: int, channel: str | None = None) -> np.ndarray:
@@ -514,8 +512,8 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
     """Multiplex one frame of payloads into a length-N signal."""
     layout = plan.layout
-    # the row lives in reused memory: from 128 KiB up, a fresh one would cost
-    # page faults on every call, and only the synthesized line is returned
+    # the row lives in reused memory: a large fresh one would cost page
+    # faults on every call, and only the synthesized line is returned
     row = _finite(plan, _fill_row(plan, payloads, _scratch("row", (plan.blocklength,))))
     line = _transmit(layout, system, row, np.empty(plan.blocklength))
     return MuxedSignal(line, layout.digest)

@@ -62,9 +62,9 @@ it has just freed, at the place where the next level reads its
 approximation, and every level copies its detail into scratch before it
 writes, so the coefficients may be the output itself. Both cascades
 work in three scratch arrays of N/2 + K - 1 floats per frame, from
-``_scratch``: from 128 KiB up, memory each thread keeps and reuses call
-after call, so transforming frame after frame of one large size into a
-given ``out`` allocates no array of that size.
+``_scratch``: memory each thread keeps and reuses call after call, so
+transforming frame after frame of one size into a given ``out``
+allocates no array of that size.
 
 Level numbering is finest-first: level 1 holds the longest detail array
 (length N/2), level ``depth`` the shortest, and the approximation array
@@ -171,10 +171,6 @@ def _synthesize(detail: np.ndarray, lattice: _Lattice, scratch, out: np.ndarray 
 
 
 _SCRATCH = threading.local()
-#: Smallest scratch request, in float64 elements (128 KiB), that ``_scratch``
-#: serves from reused memory. Below it a fresh array is cheaper than the
-#: lookup, and small blocks stay on the allocator's heap anyway.
-_REUSED_FROM = 1 << 14
 
 
 def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -183,14 +179,12 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     Frames of one size are transformed over and over. Fresh multi-MB
     temporaries would cost page faults on every call whenever the
     allocator hands their pages back to the system between calls, so
-    large requests get memory this thread keeps per role and reuses: the
+    every request gets memory this thread keeps per role and reuses: the
     array is valid until this thread next asks for ``role``, and the
     memory kept is that of the largest request per role. The contents
-    are undefined either way.
+    are undefined.
     """
     size = prod(shape)
-    if size < _REUSED_FROM:
-        return np.empty(shape)
     buf = _SCRATCH.__dict__.get(role)
     if buf is None or buf.size < size:
         buf = _SCRATCH.__dict__[role] = np.empty(size)

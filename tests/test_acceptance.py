@@ -28,6 +28,7 @@ from wavemux import (
     random_payloads,
     synthesize,
 )
+import wavemux.mra
 from wavemux.cli import main
 from oracles import (
     compositions_by_product_scan,
@@ -184,47 +185,54 @@ def test_c6_energy_and_length_properties(j, n):
     _pass(6, f"(J={j}, N={n}) equal length/energy and Parseval at 1e-9")
 
 
-def test_c7_linear_complexity_scaling():
-    """Doubling the input at fixed filter length at most triples the
-    measured analysis time.
+class _CountingNumpy:
+    """NumPy as ``wavemux.mra`` sees it, counting the elements of every multiply."""
 
-    Every repetition starts from cold caches: inputs rotate through a pool
-    larger than any cache level and a scrub pass evicts everything else
-    between samples, mirroring steady-state pipelines where each frame is
-    processed once amid other work. Sizes are interleaved so machine noise
-    hits all of them alike; the per-size minimum is the scaling estimate.
+    def __init__(self) -> None:
+        self.multiplies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        product = np.multiply(*args, **kwargs)
+        self.multiplies += product.size
+        return product
+
+
+def test_c7_linear_complexity_scaling(monkeypatch):
+    """Doubling the input at fixed filter length exactly doubles the work.
+
+    The work is counted, not timed, so the test does not depend on the
+    host: every multiply the lattice kernels ask NumPy for, element by
+    element. A level of M samples costs (L/2 + 1) M multiplies (3M for
+    db4, 2M for haar), so a depth-J cascade over N samples costs
+    (L/2 + 1) 2N (1 - 2^-J) each way.
     """
-    pair = make_wavelet_system("db4")
+    counter = _CountingNumpy()
+    monkeypatch.setattr(wavemux.mra, "np", counter)
     rng = np.random.default_rng(31415)
-    pool_bytes = 48 << 20
-    pools = {
-        p: [rng.standard_normal(1 << p) for _ in range(max(4, pool_bytes // (8 << p)))]
-        for p in (16, 17, 18, 19)
-    }
-    scrub = np.zeros(4 << 20)  # 32 MiB, evicts every cache level when touched
-    for pool in pools.values():
-        analyze(pool[0], 1, pair)  # warm the code path
+    depth = 6
 
-    best = {p: float("inf") for p in pools}
+    def multiplies(transform, x, j, pair) -> int:
+        counter.multiplies = 0
+        transform(x, j, pair)
+        return counter.multiplies
 
-    def measure(reps: int) -> None:
-        for rep in range(reps):
-            for p, pool in pools.items():
-                np.add(scrub, 1.0, out=scrub)  # single pass, evicts cached lines
-                x = pool[rep % len(pool)]
-                t0 = time.perf_counter()
-                analyze(x, 1, pair)
-                dt = time.perf_counter() - t0
-                if dt < best[p]:
-                    best[p] = dt
-
-    measure(16)
-    if any(best[p + 1] / best[p] > 3.0 for p in (16, 17, 18)):
-        measure(16)  # shared-host scheduling burst; extend the sample once
-
-    ratios = {p: best[p + 1] / best[p] for p in (16, 17, 18)}
-    assert all(r <= 3.0 for r in ratios.values()), f"ratios {ratios}"
-    _pass(7, "time(2N)/time(N) = " + ", ".join(f"2^{p}: {r:.2f}" for p, r in ratios.items()))
+    for name in ("haar", "db4"):
+        pair = make_wavelet_system(name)
+        per_level = pair.g.size // 2 + 1
+        counts = {}
+        for p in range(6, 20):
+            n = 1 << p
+            x = rng.standard_normal(n)
+            assert multiplies(analyze, x, 1, pair) == per_level * n
+            counts[p] = multiplies(analyze, x, depth, pair)
+            assert counts[p] == per_level * 2 * (n - (n >> depth))  # (L/2 + 1) 2N (1 - 2^-J)
+            assert multiplies(synthesize, x, depth, pair) == counts[p]
+        assert all(counts[p + 1] == 2 * counts[p] for p in range(6, 19))
+        _pass(7, f"{name}: {per_level}N multiplies per level, {counts[19]} for a J={depth} cascade"
+                 f" over N = 2^19, doubling exactly with N from 2^6")
 
 
 def test_c8_dense_matrix_synthesis_oracle():

@@ -10,7 +10,7 @@ import pytest
 
 from wavemux import ConfigError, enumerate_compositions, load_plan, plan_from_dict
 from wavemux.cli import main
-from oracles import per_row_decimal_text
+from oracles import per_row_decimal_text, random_scaling_filter
 
 J3_PLAN = {
     "N": 64,
@@ -859,11 +859,17 @@ class TestRoundtripCommand:
 
 
 class TestCustomWaveletFile:
-    def test_mux_demux_with_coefficient_file(self, tmp_path, plan_file):
+    @pytest.mark.parametrize("taps", ["db4", 4, 6, 8], ids=lambda t: t if t == "db4" else f"lattice{t}")
+    def test_mux_demux_with_coefficient_file(self, tmp_path, plan_file, taps):
+        # db4, and seeded random paraunitary lattices of 4, 6 and 8 taps
         from wavemux import format_coefficients_csv, make_wavelet_system
 
+        if taps == "db4":
+            g = make_wavelet_system("db4").g
+        else:
+            g = random_scaling_filter(np.random.default_rng(taps), taps // 2)
         coeffs = tmp_path / "mine.csv"
-        coeffs.write_text(format_coefficients_csv(make_wavelet_system("db4").g) + "\n")
+        coeffs.write_text(format_coefficients_csv(g) + "\n")
         payloads = write_random_payloads(tmp_path, J3_PLAN, seed=14)
         sig = str(tmp_path / "sig.f64")
         wavelet = f"file:{coeffs}"
@@ -875,6 +881,11 @@ class TestCustomWaveletFile:
         for ch in J3_PLAN["channels"]:
             cid = ch["id"]
             assert (payloads / f"{cid}.bits").read_bytes() == (out_dir / f"{cid}.bits").read_bytes()
+        report = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--plan", plan_file, "--wavelet", wavelet, "--seed", "3",
+                     "--out", str(report)]) == 0
+        assert len(report.read_text().splitlines()) == 2 + J3_PLAN["N"]
+        assert main(["roundtrip", "--plan", plan_file, "--wavelet", wavelet]) == 0
 
     def test_bad_coefficient_file_exits_2(self, tmp_path, plan_file):
         coeffs = tmp_path / "bad.csv"

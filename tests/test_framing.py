@@ -210,7 +210,10 @@ class TestPackedCodec:
         rng = np.random.default_rng(200 + b)
         g, nbytes = _group(b)
         assert (g * b) % 8 == 0 and nbytes == g * b // 8 and g in (1, 2, 4, 8)
-        for count in list(range(2 * g + 2)) + [4099]:
+        # 10,007 words run past NumPy's 8,192-element buffer, so the casting
+        # loops behind the reader's unaligned big-endian views run more than
+        # once, and leave a short last group wherever a group has 2+ words
+        for count in list(range(2 * g + 2)) + [4099, 10_007]:
             words = rng.integers(0, 1 << b, count)
             bits = word_bits(words, b)
             packed = np.packbits(bits)
@@ -220,6 +223,12 @@ class TestPackedCodec:
             back = _dequantize_packed(samples, b)
             assert back.dtype == np.uint8 and back.tobytes() == packed.tobytes()
             assert np.array_equal(np.unpackbits(back, count=count * b), bit_array_dequantize(samples, b))
+
+    @pytest.mark.parametrize("b", range(1, 25))
+    def test_no_words(self, b):
+        samples = quantize_words("", b)
+        assert samples.dtype == np.float64 and samples.shape == (0,)
+        assert dequantize_samples([], b) == ""
 
     @pytest.mark.parametrize("b", [1, 3, 5, 7, 12, 23])
     def test_bits_past_the_last_word_are_ignored(self, b):
@@ -890,16 +899,18 @@ class TestFrameFunctions:
 
 
 class TestReusedMemory:
-    """Frames above the 128 KiB scratch threshold: results never share reused memory."""
+    """Scratch memory is reused at every frame size: results never share it."""
 
-    N = 1 << 15
+    @pytest.fixture(params=[256, 1 << 15])
+    def n(self, request):
+        return request.param
 
     @pytest.fixture(params=["in-order", "permuted"])
-    def plan(self, request):
+    def plan(self, request, n):
         if request.param == "in-order":
-            plan = ladder_plan(self.N, 8)
+            plan = ladder_plan(n, 8)
         else:
-            plan = make_plan(self.N, 6, [64000 * 32, 64000 * 16] + [64000] * 16)
+            plan = make_plan(n, 6, [64000 * 32, 64000 * 16] + [64000] * 16)
         assert plan.layout.in_order == (request.param == "in-order")
         return plan
 
@@ -912,7 +923,7 @@ class TestReusedMemory:
 
     @pytest.mark.parametrize("digital", [False, True], ids=["samples", "digital"])
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
-    def test_one_frame_results_survive_the_next_call(self, plan, wavelet, digital):
+    def test_one_frame_results_survive_the_next_call(self, plan, n, wavelet, digital):
         system, layout = make_wavelet_system(wavelet), plan.layout
         first, second = self.payloads(plan, 70, digital), self.payloads(plan, 71, digital)
         sent = [p.bits if digital else p.samples.copy() for p in first]
@@ -929,7 +940,7 @@ class TestReusedMemory:
                 assert got.samples.tobytes() == kept.tobytes()
                 assert payload.samples.tobytes() == want.tobytes()  # the caller's input is untouched
         # the transform of a row scattered and gathered by fancy indexing, bit for bit
-        flat = np.empty(self.N)
+        flat = np.empty(n)
         flat[layout.index] = tdm_row(plan, first)
         assert line.samples.tobytes() == synthesize(flat, layout.depth, system).tobytes()
         if not digital:
@@ -937,11 +948,12 @@ class TestReusedMemory:
             assert np.concatenate([p.samples for p in back]).tobytes() == oracle_row.tobytes()
 
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
-    def test_frame_batches_survive_the_next_call(self, plan, wavelet):
-        # 3 frames of 2^15 samples make one whole block of 2 and a shorter one
+    def test_frame_batches_survive_the_next_call(self, plan, n, wavelet):
+        # 3 frames of 2^15 samples make one whole block of 2 and a shorter one;
+        # 3 of 256 make one short block
         system, layout = make_wavelet_system(wavelet), plan.layout
         rng = np.random.default_rng(72)
-        first, second = rng.uniform(-1, 1, (2, 3, self.N))
+        first, second = rng.uniform(-1, 1, (2, 3, n))
         line = mux_frames(plan, system, first)
         kept_line = line.copy()
         rows = demux_frames(plan, system, line)
@@ -949,14 +961,14 @@ class TestReusedMemory:
         demux_frames(plan, system, mux_frames(plan, system, second))
         assert line.tobytes() == kept_line.tobytes()
         assert rows.tobytes() == kept_rows.tobytes()
-        for k, frame in enumerate(line.reshape(3, self.N)):
-            flat = np.empty(self.N)
+        for k, frame in enumerate(line.reshape(3, n)):
+            flat = np.empty(n)
             flat[layout.index] = first[k]
             assert frame.tobytes() == synthesize(flat, layout.depth, system).tobytes()
             assert rows[k].tobytes() == analyze(frame, layout.depth, system)[layout.index].tobytes()
 
     @pytest.mark.parametrize("wavelet", ["haar", "db4"])
-    def test_results_own_exactly_their_samples(self, plan, wavelet):
+    def test_results_own_exactly_their_samples(self, plan, n, wavelet):
         # a result that views a larger array keeps all of it alive: a line of N
         # samples held in N + L - 2 floats cannot reuse the chunk that a
         # recovered row of N frees, so a caller loop that keeps each result
@@ -967,7 +979,7 @@ class TestReusedMemory:
         recovered = demux(plan, system, line, digital=False)
         for array in (line, rows, recovered[0].samples, mux_frames(plan, system, np.stack([rows[0]] * 3))):
             owner = array if array.base is None else array.base
-            assert owner.nbytes == 8 * self.N * -(-array.size // self.N)
+            assert owner.nbytes == 8 * n * -(-array.size // n)
 
     def test_in_order_frames_take_no_fresh_memory_but_their_result(self, db4):
         # counted by tracemalloc, not timed: after one warm-up call, mux
