@@ -29,7 +29,7 @@ from wavemux.wavelets import _lattice_filters
 def describe_lattice(pair: FilterPair) -> None:
     """Print the pair's lattice stages as angles, and check that they rebuild g and h."""
     lattice = pair._lattice
-    a, b, c, d = lattice.first
+    (a, b), (c, d) = lattice.first
     kind = "rotation" if a * d - b * c > 0 else "reflection"
     # stage 0 is a scaled 2x2 rotation or reflection; every later stage the
     # butterfly [[t, 1], [1, -t]] after a one-sample advance, t = tan(angle)

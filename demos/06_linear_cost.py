@@ -6,11 +6,15 @@ filter pair's paraunitary lattice: for a filter of length L, a level of
 M samples costs (L/2 + 1) * M multiplies, against L * M for the direct
 form, so the cascade costs (L/2 + 1) * (2 - 2^(1-J)) multiplies per
 sample per direction: a fixed amount of arithmetic per sample, whatever
-the frame length N. This demo times db4 analysis and synthesis at J = 6
-for N = 2^6 .. 2^18 and prints nanoseconds per sample beside those
-multiplies per sample, and the time per multiply. On small frames the
-fixed cost of each NumPy call dominates; from a few thousand samples on
-the figure settles, which is the linear cost in numbers. Timings depend
+the frame length N. Those multiplies run as NumPy passes over whole
+channels: per level, one matrix product for the first lattice stage
+over the M samples seen as (M/2, 2) pairs, which reads no even or odd
+samples apart, and four passes over M/2 samples per further stage. This
+demo times db4 analysis and synthesis at J = 6 for N = 2^6 .. 2^18 and
+prints nanoseconds per sample beside those multiplies per sample, and
+the time per multiply. On small frames the fixed cost of each NumPy
+call dominates; from a few thousand samples on the figure settles,
+which is the linear cost in numbers. Timings depend
 on the host, so the demo reports them and checks only the round trip.
 
 The second table runs whole frames through ``mux`` and ``demux`` on an

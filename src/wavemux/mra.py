@@ -22,8 +22,10 @@ length L = 2K is a paraunitary lattice (Vaidyanathan & Hoang, 1988):
 ``wavelets._compile_lattice``), holds a 2 x 2 first stage and K - 1
 further stages ``(t, delayed)``. One analysis step:
 
-1. stage 0 reads the even and odd samples x[2k] and x[2k + 1] into two
-   channels of scratch, mixed by the first-stage matrix;
+1. stage 0 mixes each pair of samples (x[2k], x[2k + 1]) by the
+   first-stage matrix ``first`` into two channels of scratch: one
+   product, ``first`` times the (2, M/2) transpose of the input seen as
+   (M/2, 2) pairs, so no pass reads the even or the odd samples apart;
 2. the channels are extended periodically by K - 1 samples (copied from
    their heads, in a loop only when K - 1 > M/2);
 3. each further stage advances channel ``delayed`` by one sample, a view
@@ -33,19 +35,34 @@ further stages ``(t, delayed)``. One analysis step:
 
 Synthesis runs the same stages backwards on the channels extended at
 their heads, each stage its own inverse up to a scale folded into the
-first stage, and ends by writing the even and odd samples of its output
-through the transpose of the first-stage matrix. A level of M samples
-costs (L/2 + 1) * M multiplies each way, against L * M for the direct
-form: db4 takes 3M instead of 4M, and 10 passes over M/2 samples for
-analysis instead of 14. The level lengths halve, so a whole cascade
-costs under (L + 2) * N, linear in the frame length N. Haar is its
-first stage alone, the butterfly [[a, a], [a, -a]] with a = 1/sqrt(2).
+first stage, and ends with one product through the transpose of
+``first``: the two channels seen as (M/2, 2) pairs times ``first``,
+written straight into the output seen as (M/2, 2) pairs. A level of M
+samples costs (L/2 + 1) * M multiplies each way, against L * M for the
+direct form (plus (K - 1)(K - 2) on the periodic extension for K > 2),
+of which stage 0's product makes 2M: db4 takes 3M instead of 4M, and
+analysis makes one product over the M samples and 4 passes over M/2
+samples, against 14 passes over M/2 for the direct form. The level
+lengths halve, so a whole cascade costs under (L + 2) * N, linear in
+the frame length N.
+Haar is its first stage alone, the butterfly [[a, a], [a, -a]] with
+a = 1/sqrt(2).
 
 The pair lives in two private kernels on bare float64 arrays,
-``_analyze`` and ``_synthesize``. They index the last axis only
-(``x[..., 0::2]``), so one pair transforms a single frame (M,) and a
-block of frames (frames, M) alike. Analysis reads its input only in
-stage 0, before it writes any output, so a level may write over the
+``_analyze`` and ``_synthesize``. They index the last axis only, so one
+pair transforms a single frame (M,) and a block of frames (frames, M)
+alike. Their scratch is one array (..., 3, M/2 + K - 1): each row holds
+a channel or one stage's products, so the two channels of a product are
+one slice of it. Analysis puts its channels in rows 0 and 1. Synthesis
+takes the approximation in any row but ``home`` (row 1 at the deepest
+level) and copies the detail into home; each stage then writes one
+output into the free row and adds the other into home, both at offset
+0, so home never comes free. The stage undone last, ``stages[0]``,
+adds the approximation channel into home when it does not delay and
+the detail channel when it does, so home is 0 in the first case and 2
+otherwise, and the final two channels always lie in ascending rows: one
+slice with a positive step. Analysis reads its input only in stage 0,
+before it writes any output, so a level may write over the
 approximation it splits.
 
 The public pair, :func:`analyze` and :func:`synthesize`, keeps a frame's
@@ -61,7 +78,7 @@ synthesis level but the last writes its output into the scratch array
 it has just freed, at the place where the next level reads its
 approximation, and every level copies its detail into scratch before it
 writes, so the coefficients may be the output itself. Both cascades
-work in three scratch arrays of N/2 + K - 1 floats per frame, from
+work in the scratch rows, 3 * (N/2 + K - 1) floats per frame, from
 ``_scratch``: memory each thread keeps and reuses call after call, so
 transforming frame after frame of one size into a given ``out``
 allocates no array of that size.
@@ -84,34 +101,28 @@ from .wavelets import FilterPair, _Lattice
 __all__ = ["analyze", "synthesize"]
 
 
-def _analyze(x: np.ndarray, lattice: _Lattice, approx: np.ndarray, detail: np.ndarray, scratch) -> None:
+def _analyze(x: np.ndarray, lattice: _Lattice, approx: np.ndarray, detail: np.ndarray, channels: np.ndarray) -> None:
     """One analysis step along the last axis of float64 ``x`` (..., M), M even >= 2.
 
     Writes the (..., M/2) approximation and detail into ``approx`` and
-    ``detail``. ``scratch`` is three arrays (..., >= M/2 + K - 1) that the
-    step uses for its two channels and one stage's products. ``x`` is read
+    ``detail``. ``channels`` (..., 3, >= M/2 + K - 1) is scratch: its rows
+    hold the step's two channels and one stage's products. ``x`` is read
     only by stage 0, before either output is written, so the outputs may
     overlap ``x``.
     """
-    half = x.shape[-1] // 2
-    a, b, c, d = lattice.first
+    lead, half = x.shape[:-1], x.shape[-1] // 2
     stages = lattice.stages
     n = half + len(stages)
-    p, q, tmp = scratch
-    p, q, product = p[..., :n], q[..., :n], tmp[..., :half]
-    head = p[..., :half]
-    np.multiply(x[..., 0::2], a, out=head)
-    head += np.multiply(x[..., 1::2], b, out=product)
-    head = q[..., :half]
-    np.multiply(x[..., 0::2], c, out=head)
-    head += np.multiply(x[..., 1::2], d, out=product)
+    # stage 0: rows 0 and 1 = first @ (x[2k], x[2k + 1]), one product over the pair view
+    pq = channels[..., 0:2, :n]
+    np.matmul(lattice.first, x.reshape(lead + (half, 2)).swapaxes(-1, -2), out=pq[..., :half])
+    p, q, tmp = pq[..., 0, :], pq[..., 1, :], channels[..., 2, :]
     if not stages:
         approx[...] = p
         detail[...] = q
         return
     for start in range(half, n, half):  # channel[i] = channel[i mod M/2], repeated when K - 1 > M/2
-        p[..., start : start + half] = p[..., : min(half, n - start)]
-        q[..., start : start + half] = q[..., : min(half, n - start)]
+        pq[..., start : start + half] = pq[..., : min(half, n - start)]
     last = len(stages) - 1
     for k, (t, delayed) in enumerate(stages):
         m = n - 1 - k  # each stage reads one sample of its advanced channel past the other
@@ -124,50 +135,51 @@ def _analyze(x: np.ndarray, lattice: _Lattice, approx: np.ndarray, detail: np.nd
         p, q, tmp = first, second, y_
 
 
-def _synthesize(detail: np.ndarray, lattice: _Lattice, scratch, out: np.ndarray | None):
+def _synthesize(detail: np.ndarray, lattice: _Lattice, channels: np.ndarray, row: int, out: np.ndarray | None) -> int:
     """One synthesis step along the last axis, from scratch that holds the approximation.
 
-    ``scratch`` is three arrays (p, q, free) of shape (..., >= M/2 + K - 1),
-    where ``p[..., K - 1 : K - 1 + M/2]`` holds the approximation; ``detail``
-    (..., M/2) is copied into ``q`` before anything is written, so it may
-    overlap ``out``. The (..., M) signal goes into ``out``, or with None
-    into the array the step leaves free, at ``[..., K - 1 : K - 1 + M]``:
-    where the next level finds its approximation. Returns the three
-    arrays in the order the next level takes them, that one first.
+    ``channels`` (..., 3, >= M/2 + K - 1) is scratch whose row ``row``
+    holds the approximation at ``[..., K - 1 : K - 1 + M/2]``; ``row`` is
+    1 for the deepest level and the returned row after that. ``detail``
+    (..., M/2) is copied into scratch before anything is written, so it
+    may overlap ``out``. The (..., M) signal goes into ``out``, or with
+    None into the row the step leaves free, at ``[..., K - 1 : K - 1 + M]``:
+    where the next level finds its approximation. Returns that row.
     """
-    p, q, free = scratch
     half = detail.shape[-1]
-    a, b, c, d = lattice.first
     stages = lattice.stages
     e = len(stages)
     n = half + e
-    q[..., e:n] = detail
+    # each stage writes one output into the free row and adds the other into
+    # row home, so home never comes free; stages[0], undone last, adds the
+    # approximation channel into home when it does not delay, so with home 0
+    # then and 2 otherwise the final channels lie in ascending rows
+    home = 0 if stages and not stages[0][1] else 2
+    c0, c1, free = row, home, 3 - row - home
+    channels[..., home, e:n] = detail
+    lo, hi = sorted((row, home))
+    both = channels[..., lo : hi + 1 : hi - lo, :]
     for stop in range(e, 0, -half):  # channel[i] = channel[i + M/2] ahead of the input, repeated when K - 1 > M/2
         start = max(0, stop - half)
-        p[..., start:stop] = p[..., start + half : stop + half]
-        q[..., start:stop] = q[..., start + half : stop + half]
-    c0, c1 = p[..., :n], q[..., :n]
+        both[..., start:stop] = both[..., start + half : stop + half]
     for t, delayed in reversed(stages):
         n -= 1  # undoing an advance moves that channel one sample later
-        (f0, s0), (f1, s1) = (c0[..., :n], c1[..., :n]), (c0[..., 1:], c1[..., 1:])
-        if delayed:
-            (f0, s0), (f1, s1) = (f1, s1), (f0, s0)
-        x_ = free[..., :n]
-        np.multiply(f0, t, out=x_)
-        x_ += s0
-        np.multiply(s1, -t, out=s1)
-        f1 += s1
-        c0, c1, p, q, free = x_, f1, free, p, q  # p and q stay the arrays under c0 and c1
-    dest = free[..., e : e + 2 * half] if out is None else out
-    even, odd = dest[..., 0::2], dest[..., 1::2]
-    # through the transpose of the first stage; c1 is scratch, so it holds a product once read
-    np.multiply(c1, c, out=odd)
-    np.multiply(c0, a, out=even)
-    even += odd
-    np.multiply(c1, d, out=c1)
-    np.multiply(c0, b, out=odd)
-    odd += c1
-    return free, p, q
+        u, v, f = channels[..., c0, : n + 1], channels[..., c1, : n + 1], channels[..., free, :n]
+        if delayed:  # X = t u[1:] + v[1:] into the free row, Y = u - t v
+            np.multiply(u[..., 1:], t, out=f)
+            f += v[..., 1:]
+            u, v = u[..., :n], np.multiply(v[..., :n], -t, out=v[..., :n])
+        else:  # Y = u[1:] - t v[1:] into the free row, X = t u + v
+            np.multiply(v[..., 1:], -t, out=f)
+            f += u[..., 1:]
+            u, v = np.multiply(u[..., :n], t, out=u[..., :n]), v[..., :n]
+        np.add(u, v, out=u if home == c0 else v)
+        c0, c1, free = (free, home, c0 + c1 - home) if delayed else (home, free, c0 + c1 - home)
+    pair = channels[..., c0 : c1 + 1 : c1 - c0, :half]
+    dest = channels[..., free, e : e + 2 * half] if out is None else out
+    # through the transpose of the first stage: (x[2k], x[2k + 1]) = (c0[k], c1[k]) @ first
+    np.matmul(pair.swapaxes(-1, -2), lattice.first, out=dest.reshape(dest.shape[:-1] + (half, 2)))
+    return free
 
 
 _SCRATCH = threading.local()
@@ -191,10 +203,10 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _lattice_scratch(pair: FilterPair, lead: tuple[int, ...], half: int) -> tuple[_Lattice, tuple[np.ndarray, ...]]:
-    """``pair``'s lattice and the kernels' three scratch arrays for levels of up to ``2 * half`` samples."""
+def _lattice_scratch(pair: FilterPair, lead: tuple[int, ...], half: int) -> tuple[_Lattice, np.ndarray]:
+    """``pair``'s lattice and the kernels' scratch (..., 3, half + K - 1) for levels of up to ``2 * half`` samples."""
     lattice = pair._lattice
-    return lattice, tuple(_scratch("channels", (3,) + lead + (half + len(lattice.stages),)))
+    return lattice, _scratch("channels", lead + (3, half + len(lattice.stages)))
 
 
 def _real(values, what: str) -> np.ndarray:
@@ -237,12 +249,12 @@ def analyze(x, depth: int, pair: FilterPair, out: np.ndarray | None = None) -> n
     n = x.shape[-1]
     if out is None:
         out = np.empty(x.shape)
-    lattice, scratch = _lattice_scratch(pair, x.shape[:-1], n // 2)
+    lattice, channels = _lattice_scratch(pair, x.shape[:-1], n // 2)
     cur = x
     for level in range(1, depth + 1):
         half = n >> level
         approx = out[..., n - half :]
-        _analyze(cur, lattice, approx, out[..., n - 2 * half : n - half], scratch)
+        _analyze(cur, lattice, approx, out[..., n - 2 * half : n - half], channels)
         cur = approx
     return out
 
@@ -260,10 +272,10 @@ def synthesize(coeffs, depth: int, pair: FilterPair, out: np.ndarray | None = No
     n = coeffs.shape[-1]
     if out is None:
         out = np.empty(coeffs.shape)
-    lattice, scratch = _lattice_scratch(pair, coeffs.shape[:-1], n // 2)
-    e = len(lattice.stages)
-    scratch[0][..., e : e + (n >> depth)] = coeffs[..., n - (n >> depth) :]
+    lattice, channels = _lattice_scratch(pair, coeffs.shape[:-1], n // 2)
+    e, row = len(lattice.stages), 1
+    channels[..., row, e : e + (n >> depth)] = coeffs[..., n - (n >> depth) :]
     for level in range(depth, 0, -1):
         half = n >> level
-        scratch = _synthesize(coeffs[..., n - 2 * half : n - half], lattice, scratch, out if level == 1 else None)
+        row = _synthesize(coeffs[..., n - 2 * half : n - half], lattice, channels, row, out if level == 1 else None)
     return out

@@ -191,8 +191,10 @@ class _Lattice(NamedTuple):
     """A filter pair as the stages of its paraunitary lattice, in analysis order.
 
     Stage 0 maps the even and odd samples (x[2k], x[2k+1]) of a level's
-    input to two channels by the 2 x 2 matrix ``first`` = (a, b, c, d),
-    read row by row; every scale of the later stages is folded into it.
+    input to two channels by ``first``, the read-only 2 x 2 float64 array
+    [[a, b], [c, d]], built once per pair, so that the transform applies
+    it as one matrix product; every scale of the later stages is folded
+    into it.
     Each later stage ``(t, delayed)`` advances channel ``delayed`` by one
     sample, calls the channels X and Y in order, and forms
 
@@ -203,13 +205,13 @@ class _Lattice(NamedTuple):
     to a scale, and ends with the transpose of ``first``.
     """
 
-    first: tuple[float, float, float, float]
+    first: np.ndarray
     stages: tuple[tuple[float, int], ...]
 
 
 def _lattice_filters(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
     """The (g, h) that a lattice computes, multiplied out stage by stage."""
-    H = np.array(lattice.first, dtype=float).reshape(1, 2, 2)
+    H = lattice.first.reshape(1, 2, 2)
     for t, delayed in lattice.stages:
         grown = np.zeros((len(H) + 1, 2, 2))
         grown[:-1] = H
@@ -272,7 +274,9 @@ def _compile_lattice(g: np.ndarray, h: np.ndarray) -> _Lattice:
     if not norm:
         raise NotOrthonormal("filters are not paraunitary: their lattice has a zero first stage")
     scale = float(np.prod([1.0 + t * t for t, _ in stages])) ** -0.5 / norm
-    lattice = _Lattice((scale * a, scale * b, -sign * scale * b, sign * scale * a), stages)
+    first = scale * np.array([[a, b], [-sign * b, sign * a]])
+    first.flags.writeable = False
+    lattice = _Lattice(first, stages)
     rebuilt_g, rebuilt_h = _lattice_filters(lattice)
     miss = max(float(np.max(np.abs(rebuilt_g - g))), float(np.max(np.abs(rebuilt_h - h))))
     if not miss <= _LATTICE_TOLERANCE:

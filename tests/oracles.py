@@ -202,8 +202,14 @@ def naive_dft_magnitude(x) -> np.ndarray:
 
 def quantizer_levels(resolution: int) -> np.ndarray:
     """All 2^B legal amplitudes of the offset-binary midrise mapping."""
+    return quantizer_level(np.arange(1 << resolution), resolution)
+
+
+def quantizer_level(words, resolution: int) -> np.ndarray:
+    """The amplitudes of B-bit ``words``, (2w + 1 - 2^B) / 2^B: ``quantizer_levels(B)[words]``
+    without a table of all 2^B levels."""
     scale = 1 << resolution
-    return (2.0 * np.arange(scale) + 1.0 - scale) / scale
+    return (2.0 * np.asarray(words) + 1.0 - scale) / scale
 
 
 # --------------------------------------------------------- bit-array codec

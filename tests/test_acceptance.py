@@ -186,7 +186,7 @@ def test_c6_energy_and_length_properties(j, n):
 
 
 class _CountingNumpy:
-    """NumPy as ``wavemux.mra`` sees it, counting the elements of every multiply."""
+    """NumPy as ``wavemux.mra`` sees it, counting the scalar multiplies of every multiply and matmul."""
 
     def __init__(self) -> None:
         self.multiplies = 0
@@ -199,15 +199,20 @@ class _CountingNumpy:
         self.multiplies += product.size
         return product
 
+    def matmul(self, a, b, **kwargs):
+        product = np.matmul(a, b, **kwargs)
+        self.multiplies += product.size * a.shape[-1]  # one per term of each output's sum
+        return product
+
 
 def test_c7_linear_complexity_scaling(monkeypatch):
     """Doubling the input at fixed filter length exactly doubles the work.
 
     The work is counted, not timed, so the test does not depend on the
     host: every multiply the lattice kernels ask NumPy for, element by
-    element. A level of M samples costs (L/2 + 1) M multiplies (3M for
-    db4, 2M for haar), so a depth-J cascade over N samples costs
-    (L/2 + 1) 2N (1 - 2^-J) each way.
+    element, and every term of each output of a matmul. A level of M
+    samples costs (L/2 + 1) M multiplies (3M for db4, 2M for haar), so a
+    depth-J cascade over N samples costs (L/2 + 1) 2N (1 - 2^-J) each way.
     """
     counter = _CountingNumpy()
     monkeypatch.setattr(wavemux.mra, "np", counter)

@@ -46,6 +46,7 @@ from oracles import (
     bit_array_dequantize,
     bit_array_quantize,
     dense_synthesis_matrix,
+    quantizer_level,
     quantizer_levels,
     random_scaling_filter,
     slot_walk_coefficients,
@@ -113,7 +114,7 @@ class TestQuantizer:
         bits = bits.tobytes().decode("ascii")
         assert bits[-b:] == format(int(words[-1]), f"0{b}b")
         samples = quantize_words(bits, b)
-        assert np.array_equal(samples, quantizer_levels(b)[words])
+        assert np.array_equal(samples, quantizer_level(words, b))
         assert dequantize_samples(samples, b) == bits
 
     def test_bad_resolution(self):
@@ -137,7 +138,7 @@ class TestQuantizer:
     def test_guard_band_boundary(self):
         b = 3
         guard = 2.0 ** -(b + 1)
-        level = quantizer_levels(b)[5]
+        level = quantizer_level(5, b)
         assert dequantize_samples([level + guard * 0.999], b) == format(5, "03b")
         with pytest.raises(OffGrid):
             dequantize_samples([level + guard * 1.001], b)
@@ -151,7 +152,7 @@ class TestQuantizer:
     @pytest.mark.parametrize("huge", [1e308, -1e308])
     def test_huge_finite_sample_is_off_grid_without_warnings(self, b, huge):
         with pytest.raises(OffGrid) as info:
-            dequantize_samples([quantizer_levels(b)[0], huge], b)
+            dequantize_samples([quantizer_level(0, b), huge], b)
         assert str(info.value) == f"1 of 2 samples off-grid at B={b}; first at index 1: value {huge:.6g}"
         assert info.value.index == 1
 
@@ -162,7 +163,7 @@ class TestQuantizer:
         # top word u is spaced two ulps of v apart: one ulp past the band
         # rounds back onto its edge and decodes, two ulps are refused
         guard = 2.0 ** -(b + 1)
-        bottom, top = quantizer_levels(b)[[0, -1]]
+        bottom, top = quantizer_level([0, (1 << b) - 1], b)
         for edge in (bottom - guard, bottom + guard):
             with pytest.raises(OffGrid):
                 dequantize_samples([np.nextafter(edge, 2 * edge - bottom)], b)
@@ -219,7 +220,7 @@ class TestPackedCodec:
             packed = np.packbits(bits)
             samples = _quantize_packed(packed, count, b)
             assert samples.tobytes() == bit_array_quantize(bits, b).tobytes()
-            assert np.array_equal(samples, quantizer_levels(b)[words])
+            assert np.array_equal(samples, quantizer_level(words, b))
             back = _dequantize_packed(samples, b)
             assert back.dtype == np.uint8 and back.tobytes() == packed.tobytes()
             assert np.array_equal(np.unpackbits(back, count=count * b), bit_array_dequantize(samples, b))
@@ -238,7 +239,7 @@ class TestPackedCodec:
         packed = np.packbits(word_bits(words, b))
         padded = np.concatenate([packed, [0xFF, 0xFF, 0xFF]]).astype(np.uint8)
         padded[packed.size - 1] |= 0xFF >> ((count * b - 1) % 8 + 1)  # set the last byte's pad bits
-        assert np.array_equal(_quantize_packed(padded, count, b), quantizer_levels(b)[words])
+        assert np.array_equal(_quantize_packed(padded, count, b), quantizer_level(words, b))
 
     @pytest.mark.parametrize("b", range(1, 25))
     def test_decoder_matches_bit_array_decoder(self, b):
@@ -246,10 +247,9 @@ class TestPackedCodec:
         # past it they are not; NaN, +-inf and values outside (-1, 1) never are
         rng = np.random.default_rng(260 + b)
         guard = 2.0 ** -(b + 1)
-        levels = quantizer_levels(b)
         for trial in range(40):
             count = int(rng.integers(1, 3 * _group(b)[0] + 3))
-            v = levels[rng.integers(0, 1 << b, count)]
+            v = quantizer_level(rng.integers(0, 1 << b, count), b)
             kind = trial % 5
             if kind == 1:
                 v = v + rng.choice([-guard, guard], count)
@@ -267,14 +267,14 @@ class TestPackedCodec:
     def test_guard_band_edges_exactly(self):
         for b in (1, 8, 24):
             guard = 2.0 ** -(b + 1)
-            level = quantizer_levels(b)[1]
+            level = quantizer_level(1, b)
             assert decoded([level + guard, level - guard], b)[1] is None
             assert decoded([level + guard * (1 + 2.0 ** -20)], b)[1][1] == 0
 
     def test_strided_rows_decode_in_order(self):
         # the CLI decodes a channel's columns of a (frames, N) array in place
         b, rng = 12, np.random.default_rng(290)
-        tdm = quantizer_levels(b)[rng.integers(0, 1 << b, (5, 64))]
+        tdm = quantizer_level(rng.integers(0, 1 << b, (5, 64)), b)
         stream = tdm[:, 16:48]
         assert _dequantize_packed(stream, b).tobytes() == _dequantize_packed(stream.reshape(-1), b).tobytes()
         tdm[3, 20] = np.nan
@@ -288,7 +288,7 @@ class TestPackedCodec:
     def test_channel_id_words_the_report(self):
         # a 1-D slice is named by its channel, a (frames, M) stream also by the frame
         b = 8
-        stream = np.tile(quantizer_levels(b)[:4], (3, 1))
+        stream = np.tile(quantizer_level(np.arange(4), b), (3, 1))
         stream[2, 1] = 0.1
         with pytest.raises(OffGrid) as plain:
             _dequantize_packed(stream, b)

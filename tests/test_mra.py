@@ -15,6 +15,7 @@ from wavemux import (
     make_wavelet_system,
     synthesize,
 )
+import wavemux.mra
 from wavemux import wavelets
 from wavemux.mra import _analyze, _synthesize
 from wavemux.wavelets import _lattice_filters
@@ -27,6 +28,7 @@ from oracles import (
     naive_synthesize_level,
     random_scaling_filter,
 )
+from test_acceptance import _CountingNumpy
 
 SQRT2 = np.sqrt(2.0)
 
@@ -98,12 +100,12 @@ def run_kernels(pair, x, a, d):
     synthesis of ``a``, ``d`` (..., M/2), in fresh scratch of the documented size."""
     lattice = pair._lattice
     lead, half, e = x.shape[:-1], x.shape[-1] // 2, len(pair._lattice.stages)
-    scratch = tuple(np.full((3,) + lead + (half + e,), np.nan))
+    channels = np.full(lead + (3, half + e), np.nan)
     approx, detail = np.empty((2,) + lead + (half,))
-    _analyze(x, lattice, approx, detail, scratch)
-    scratch[0][..., e : e + half] = a
+    _analyze(x, lattice, approx, detail, channels)
+    channels[..., 1, e : e + half] = a
     y = np.empty(x.shape)
-    _synthesize(d, lattice, scratch, y)
+    _synthesize(d, lattice, channels, 1, y)
     return approx, detail, y
 
 
@@ -159,7 +161,7 @@ class TestLattice:
             np.testing.assert_allclose(h, pair.h, rtol=0, atol=1e-15)
 
     def test_haar_first_stage_is_the_orthogonal_butterfly(self, haar):
-        a, b, c, d = haar._lattice.first
+        (a, b), (c, d) = haar._lattice.first
         assert a == b == c == -d
         np.testing.assert_allclose(a, np.sqrt(0.5), rtol=0, atol=1e-16)
 
@@ -405,3 +407,91 @@ class TestInvariants:
         strided = np.empty(2 * flat.size)
         strided[::2] = flat
         np.testing.assert_allclose(synthesize(strided[::2], 2, db4), view, atol=1e-12)
+
+
+class TestRowBookkeeping:
+    """The kernels move their channels between the rows of one scratch array;
+    every layout of input and output gives the bytes of the contiguous single frame."""
+
+    # haar, db4 and seeded 6- and 8-tap lattices: between them they run both home rows of synthesis
+    PAIRS = [make_wavelet_system("haar"), make_wavelet_system("db4"),
+             make_wavelet_system(random_scaling_filter(np.random.default_rng(1), 3)),
+             make_wavelet_system(random_scaling_filter(np.random.default_rng(1), 4))]
+    # (N, depth): at N = 16, depth 4 the deepest level has 2 samples, fewer than any filter here but haar
+    CASES = [(16, 4), (256, 5), (2, 1)]
+
+    def test_the_pairs_run_both_stage_kinds(self):
+        assert [len(p) for p in self.PAIRS] == [2, 4, 6, 8]
+        for pair in self.PAIRS[2:]:
+            assert {delayed for _, delayed in pair._lattice.stages} == {0, 1}
+        # the stage that synthesis undoes last advances either channel among these pairs
+        assert {p._lattice.stages[0][1] for p in self.PAIRS if p._lattice.stages} == {0, 1}
+
+    @staticmethod
+    def _case(pair, n, depth):
+        x = np.random.default_rng(n + len(pair)).standard_normal((3, n))
+        return x, analyze(x, depth, pair)
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{len(p)}taps")
+    @pytest.mark.parametrize("n, depth", CASES)
+    def test_block_rows_equal_single_frames(self, pair, n, depth):
+        x, flat = self._case(pair, n, depth)
+        lines = synthesize(flat, depth, pair)
+        for k in range(len(x)):
+            assert flat[k].tobytes() == analyze(x[k], depth, pair).tobytes()
+            assert lines[k].tobytes() == synthesize(flat[k], depth, pair).tobytes()
+        np.testing.assert_allclose(lines, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{len(p)}taps")
+    @pytest.mark.parametrize("n, depth", CASES)
+    def test_non_contiguous_out(self, pair, n, depth):
+        x, flat = self._case(pair, n, depth)
+        lines = synthesize(flat, depth, pair)
+        for out in (np.zeros((3, 2 * n))[:, ::2], np.zeros((3, n), order="F")):
+            assert analyze(x, depth, pair, out=out) is out
+            assert out.tobytes() == flat.tobytes()
+            assert synthesize(flat, depth, pair, out=out) is out
+            assert out.tobytes() == lines.tobytes()
+        # one frame into every other sample of a longer array
+        out = np.zeros(2 * n)[1::2]
+        analyze(x[0], depth, pair, out=out)
+        assert out.tobytes() == flat[0].tobytes()
+        synthesize(flat[0], depth, pair, out=out)
+        assert out.tobytes() == lines[0].tobytes()
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{len(p)}taps")
+    @pytest.mark.parametrize("n, depth", CASES)
+    def test_read_only_input(self, pair, n, depth):
+        # as the CLI reads a line: np.frombuffer over bytes
+        x, flat = self._case(pair, n, depth)
+        line = np.frombuffer(x[0].tobytes())
+        coeffs = np.frombuffer(flat[0].tobytes())
+        assert not line.flags.writeable and not coeffs.flags.writeable
+        assert analyze(line, depth, pair).tobytes() == flat[0].tobytes()
+        assert synthesize(coeffs, depth, pair).tobytes() == synthesize(flat[0], depth, pair).tobytes()
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{len(p)}taps")
+    @pytest.mark.parametrize("n, depth", CASES)
+    def test_out_is_the_input(self, pair, n, depth):
+        x, flat = self._case(pair, n, depth)
+        lines = synthesize(flat, depth, pair)
+        for signal, coeffs, line in ((x, flat, lines), (x[1], flat[1], lines[1])):
+            buf = signal.copy()
+            assert analyze(buf, depth, pair, out=buf) is buf
+            assert buf.tobytes() == coeffs.tobytes()
+            assert synthesize(buf, depth, pair, out=buf) is buf
+            assert buf.tobytes() == line.tobytes()
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{len(p)}taps")
+    def test_multiplies_per_level(self, pair, monkeypatch):
+        # both stage kinds cost what test_c7 counts for haar and db4, (L/2 + 1) M per level each way,
+        # plus (K - 1)(K - 2) for the samples of the periodic extension that the first K - 2 stages run past M/2
+        counter = _CountingNumpy()
+        monkeypatch.setattr(wavemux.mra, "np", counter)
+        frames, n, depth, k = 2, 256, 5, len(pair) // 2
+        x = np.random.default_rng(3).standard_normal((frames, n))
+        per_frame = sum((k + 1) * (n >> level) + (k - 1) * (k - 2) for level in range(depth))
+        for transform in (analyze, synthesize):
+            counter.multiplies = 0
+            transform(x, depth, pair)
+            assert counter.multiplies == frames * per_frame
