@@ -11,7 +11,6 @@ import numpy as np
 
 from wavemux import (
     Channel,
-    MuxedSignal,
     OffGrid,
     RatePlan,
     TributaryPayload,
@@ -57,7 +56,7 @@ print("bit-exact recovery:", all(s.bits == r.bits for s, r in zip(payloads, reco
 # land far from every quantizer level and decoding refuses.
 # ---------------------------------------------------------------------
 try:
-    demux(plan, make_wavelet_system("haar"), MuxedSignal(signal.samples))
+    demux(plan, make_wavelet_system("haar"), signal)
 except OffGrid as exc:
     print("haar receiver on a db4 signal:", exc)
 

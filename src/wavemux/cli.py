@@ -9,9 +9,16 @@ mux-then-demux on seeded random payloads).
 Exit codes: 0 success, 2 invalid plan or configuration, 3 I/O or payload
 shape problem, 4 demux integrity failure (off-grid samples).
 
+Each option that several commands take (``--plan``, ``--wavelet``,
+``--format``, ``--seed``) is declared once, with one help text, in a
+parent parser that those commands share.
+
 Payload files are named ``<channel-id>.bits`` (packed bytes, bits consumed
 MSB-first) or ``<channel-id>.samples``; a plan whose ids hold a path
-separator or NUL is refused (exit 2) before any payload file is opened.
+separator or NUL is refused (exit 2) before any payload file is opened,
+and a directory that holds both files of one channel is refused (exit 3)
+before either is read. One reader, ``_read_payload``, finds and checks
+every payload file.
 Sample and signal files are raw little-endian float64 or decimal CSV,
 selected by ``--format``. Inputs may hold any whole number of frames
 under the same plan; partial trailing frames are an error. Each
@@ -140,13 +147,26 @@ def _encode_samples(values: np.ndarray, fmt: str):
     return "".join(decimal_rows([values])).encode("utf-8")
 
 
-def _read_bits(path: Path, channel_id: str, spf: int, resolution: int) -> tuple[np.ndarray, int]:
-    """The samples of the B-bit words in a ``.bits`` file of whole frames, and its size.
+def _read_payload(directory: Path, channel_id: str, spf: int, resolution: int, fmt: str) -> tuple[np.ndarray, int]:
+    """The channel's payload as a ``(frames, spf)`` block of samples, and its file's size in bytes.
 
-    A frame holds ``spf`` words. Bits past the last whole frame may only
-    pad the last byte, and must be zero.
+    The payload is ``<id>.bits`` or ``<id>.samples``; a directory holding
+    neither, or both, is refused. Either file holds whole frames of
+    ``spf`` samples. In a ``.bits`` file, bits past the last whole frame
+    may only pad the last byte, and must be zero.
     """
-    data = np.frombuffer(path.read_bytes(), np.uint8)
+    bits, samples = directory / f"{channel_id}.bits", directory / f"{channel_id}.samples"
+    has_bits, has_samples = bits.exists(), samples.exists()
+    if has_bits and has_samples:
+        raise DataError(f"channel {channel_id!r}: both {bits} and {samples} exist; a channel has one payload file")
+    if has_samples:
+        values, size = _read_samples(samples, fmt)
+        if values.size < spf or values.size % spf:
+            raise DataError(f"channel {channel_id!r}: {values.size} samples do not form whole frames of {spf}")
+        return values.reshape(-1, spf), size
+    if not has_bits:
+        raise DataError(f"no payload file for channel {channel_id!r} in {directory}")
+    data = np.frombuffer(bits.read_bytes(), np.uint8)
     per = spf * resolution
     nbits = 8 * data.size
     whole = nbits - nbits % per
@@ -154,7 +174,7 @@ def _read_bits(path: Path, channel_id: str, spf: int, resolution: int) -> tuple[
         raise DataError(f"channel {channel_id!r}: {nbits} bits do not form whole frames of {per} bits")
     if data[-1] & ((1 << (nbits - whole)) - 1):
         raise DataError(f"channel {channel_id!r}: nonzero bits beyond the last whole frame")
-    return _quantize_packed(data, whole // resolution, resolution), data.size
+    return _quantize_packed(data, whole // resolution, resolution).reshape(-1, spf), data.size
 
 
 # ------------------------------------------------------------------ commands
@@ -199,31 +219,16 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 
 def cmd_mux(args: argparse.Namespace) -> int:
     plan, system = _load(args)
-    directory = Path(args.payload_dir)
-    columns: dict[str, np.ndarray] = {}  # channel id -> its stream as (frames, samples per frame)
-    read = 0
     _check_payload_names(plan)
+    blocks, read = [], 0  # each channel's stream as (frames, samples per frame), in TDM order
     for ch, (lo, hi) in zip(plan.channels, plan.layout.bounds):
-        spf = hi - lo
-        bits_path = directory / f"{ch.id}.bits"
-        samples_path = directory / f"{ch.id}.samples"
-        if bits_path.exists():
-            values, size = _read_bits(bits_path, ch.id, spf, plan.resolution)
-        elif samples_path.exists():
-            values, size = _read_samples(samples_path, args.format)
-            if values.size < spf or values.size % spf:
-                raise DataError(
-                    f"channel {ch.id!r}: {values.size} samples do not form whole frames of {spf}"
-                )
-        else:
-            raise DataError(f"no payload file for channel {ch.id!r} in {directory}")
-        columns[ch.id] = values.reshape(-1, spf)
+        block, size = _read_payload(Path(args.payload_dir), ch.id, hi - lo, plan.resolution, args.format)
+        blocks.append(block)
         read += size
-
-    frame_counts = {cid: len(block) for cid, block in columns.items()}
-    if len(set(frame_counts.values())) != 1:
-        raise DataError(f"channels disagree on frame count: {frame_counts}")
-    tdm = np.concatenate(list(columns.values()), axis=1)  # declaration order is TDM order
+    if len({len(block) for block in blocks}) != 1:
+        counts = {ch.id: len(block) for ch, block in zip(plan.channels, blocks)}
+        raise DataError(f"channels disagree on frame count: {counts}")
+    tdm = np.concatenate(blocks, axis=1)
     signal = mux_frames(plan, system, tdm)
     written = Path(args.out).write_bytes(_encode_samples(signal, args.format))
     print(f"wrote {signal.size} samples ({len(tdm)} frame(s)) to {args.out};"
@@ -294,46 +299,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="echo the resolved wavelet coefficients and plan digest")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="validate a plan file and print its allocation")
-    p.add_argument("--plan", required=True, help="plan JSON file")
-    p.set_defaults(func=cmd_plan)
+    # one parent parser per shared option, declared once for every command that takes it
+    plan, wavelet, fmt, seed = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    plan.add_argument("--plan", required=True, help="plan JSON file")
+    wavelet.add_argument("--wavelet", default="haar", help="haar | db4 | file:<coeff.csv>")
+    fmt.add_argument("--format", choices=("raw", "csv"), default="raw")
+    seed.add_argument("--seed", type=_u64, default=0, help="payload generator seed")
 
-    p = sub.add_parser("compositions", help="list admissible channel mixes for J scales")
-    p.add_argument("levels", type=int, help="number of scales J (1..8)")
-    p.set_defaults(func=cmd_compositions)
+    def command(name, func, help, *parents):
+        """Register subcommand ``name``, run by ``func``; returns its ``add_argument``."""
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p.add_argument
 
-    p = sub.add_parser("mux", help="multiplex payload files into a signal file")
-    p.add_argument("payload_dir", help="directory with <id>.bits / <id>.samples files")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--wavelet", default="haar", help="haar | db4 | file:<coeff.csv>")
-    p.add_argument("--format", choices=("raw", "csv"), default="raw")
-    p.add_argument("--out", required=True, help="output signal file")
-    p.set_defaults(func=cmd_mux)
-
-    p = sub.add_parser("demux", help="demultiplex a signal file into payload files")
-    p.add_argument("signal", help="input signal file")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--wavelet", default="haar")
-    p.add_argument("--format", choices=("raw", "csv"), default="raw")
-    p.add_argument("--payload", choices=("bits", "samples"), default="bits",
-                   help="recover digital bit streams (default) or raw samples")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_demux)
-
-    p = sub.add_parser("spectrum", help="write a TDM-vs-multiplex spectrum CSV")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--wavelet", default="haar")
-    p.add_argument("--seed", type=_u64, default=0, help="payload generator seed")
-    p.add_argument("--frames", type=int, default=1, help="frames to concatenate before the DFT")
-    p.add_argument("--out", required=True, help="output CSV file")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("roundtrip", help="self-check: mux then demux random payloads")
-    p.add_argument("--plan", required=True)
-    p.add_argument("--wavelet", default="haar")
-    p.add_argument("--seed", type=_u64, default=0)
-    p.set_defaults(func=cmd_roundtrip)
-
+    command("plan", cmd_plan, "validate a plan file and print its allocation", plan)
+    add = command("compositions", cmd_compositions, "list admissible channel mixes for J scales")
+    add("levels", type=int, help="number of scales J (1..8)")
+    add = command("mux", cmd_mux, "multiplex payload files into a signal file", plan, wavelet, fmt)
+    add("payload_dir", help="directory with <id>.bits / <id>.samples files")
+    add("--out", required=True, help="output signal file")
+    add = command("demux", cmd_demux, "demultiplex a signal file into payload files", plan, wavelet, fmt)
+    add("signal", help="input signal file")
+    add("--payload", choices=("bits", "samples"), default="bits",
+        help="recover digital bit streams (default) or raw samples")
+    add("--out", required=True, help="output directory")
+    add = command("spectrum", cmd_spectrum, "write a TDM-vs-multiplex spectrum CSV", plan, wavelet, seed)
+    add("--frames", type=int, default=1, help="frames to concatenate before the DFT")
+    add("--out", required=True, help="output CSV file")
+    command("roundtrip", cmd_roundtrip, "self-check: mux then demux random payloads", plan, wavelet, seed)
     return parser
 
 

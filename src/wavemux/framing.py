@@ -48,6 +48,10 @@ channel of the frame, and a finite row whose line would overflow
 reject a recovered one (OffGrid), which only a corrupt line leaves.
 Every sample array enters through :func:`mra._real`, which refuses
 complex and text dtypes (DataError) instead of casting them to float.
+A received line is a :class:`MuxedSignal`, whose plan digest ``demux``
+always compares with the plan's, or a bare array, which is bound to no
+plan. Both receive paths check its shape in one place, ``_line``, which
+words a refusal from the array's shape, as :func:`mux_frames` does.
 
 The codec runs once per frame, not once per channel: :func:`tdm_row`
 joins the digital payloads' bits into one :func:`quantize_words` call,
@@ -160,7 +164,7 @@ class MuxedSignal:
     """The multiplexed frame signal plus the digest of the plan behind it."""
 
     samples: np.ndarray
-    plan_digest: str = ""
+    plan_digest: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", _real(self.samples, "signal"))
@@ -486,6 +490,15 @@ def _by_blocks(body, layout: FrameLayout, system: FilterPair, frames: np.ndarray
     return out
 
 
+def _line(plan: RatePlan, signal, *, whole_frames: bool) -> np.ndarray:
+    """``signal`` once it is a 1-D line of real samples: one frame, or ``whole_frames`` of one or more."""
+    x, n = _real(signal, "signal"), plan.blocklength
+    if x.ndim != 1 or not x.size or x.size % n or (x.size != n and not whole_frames):
+        expects = f"(frames * {n},) with frames >= 1" if whole_frames else f"({n},)"
+        raise ShapeMismatch(f"signal of shape {x.shape}, plan expects {expects}")
+    return x
+
+
 def mux_frames(plan: RatePlan, system: FilterPair, tdm) -> np.ndarray:
     """Multiplex a ``(frames, N)`` array of TDM rows into a line of frames * N samples."""
     tdm = _real(tdm, "TDM array")
@@ -502,11 +515,8 @@ def demux_frames(plan: RatePlan, system: FilterPair, line) -> np.ndarray:
     or infinity, which only a corrupt line leaves, raises OffGrid as in
     :func:`demux` with ``digital=False``.
     """
-    n = plan.blocklength
-    x = _real(line, "signal")
-    if x.ndim != 1 or x.size < n or x.size % n:
-        raise ShapeMismatch(f"signal has {x.size} samples, not a whole number of {n}-sample frames")
-    return _finite(plan, _by_blocks(_receive, plan.layout, system, x.reshape(-1, n)), recovered=True)
+    frames = _line(plan, line, whole_frames=True).reshape(-1, plan.blocklength)
+    return _finite(plan, _by_blocks(_receive, plan.layout, system, frames), recovered=True)
 
 
 def mux(plan: RatePlan, system: FilterPair, payloads) -> MuxedSignal:
@@ -530,14 +540,10 @@ def demux(plan: RatePlan, system: FilterPair, signal, *, digital: bool = True) -
     """
     layout = plan.layout
     if isinstance(signal, MuxedSignal):
-        if signal.plan_digest and signal.plan_digest != layout.digest:
+        if signal.plan_digest != layout.digest:
             raise ShapeMismatch("signal was multiplexed under a different plan")
         signal = signal.samples
-    x = _real(signal, "signal")
-    if x.ndim != 1 or x.size != plan.blocklength:
-        raise ShapeMismatch(f"signal has {x.size} samples, plan expects {plan.blocklength}")
-
-    row = _receive(layout, system, x, np.empty(plan.blocklength))
+    row = _receive(layout, system, _line(plan, signal, whole_frames=False), np.empty(plan.blocklength))
     channels = list(zip(plan.channels, layout.bounds))
     if not digital:
         _finite(plan, row, recovered=True)

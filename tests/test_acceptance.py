@@ -60,8 +60,10 @@ def composition_plan(comp, n, r=64000, b=8):
 
 def test_c1_composition_table_and_enumeration_oracle(capsys):
     """The 3-scale table is reproduced exactly and the enumerator agrees
-    with independent brute-force scans up to 8 scales, within 1 second."""
-    t0 = time.perf_counter()
+    with independent brute-force scans up to 8 scales, within 1 second of
+    the test's own CPU time: the scans are pure Python, and the load of
+    other processes on the host does not change their CPU time."""
+    t0 = time.process_time()
 
     assert main(["compositions", "3"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
@@ -75,9 +77,9 @@ def test_c1_composition_table_and_enumeration_oracle(capsys):
         if j <= 5:
             assert set(got) == set(compositions_by_product_scan(j))
 
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0, f"criterion 1 took {elapsed:.3f}s"
-    _pass(1, f"9 rows exact; oracle match at 1..8 scales in {elapsed:.3f}s")
+    elapsed = time.process_time() - t0
+    assert elapsed < 1.0, f"criterion 1 took {elapsed:.3f}s of CPU time"
+    _pass(1, f"9 rows exact; oracle match at 1..8 scales in {elapsed:.3f}s of CPU time")
 
 
 def test_c2_frame_time_numerology_exact():

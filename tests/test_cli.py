@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wavemux import ConfigError, enumerate_compositions, load_plan, plan_from_dict
-from wavemux.cli import main
+from wavemux.cli import build_parser, main
 from oracles import per_row_decimal_text, random_scaling_filter
 
 J3_PLAN = {
@@ -77,6 +77,16 @@ class TestPlanCommand:
         assert "frame_time: 1/1000 s (1 ms)" in out
         assert "aggregate_rate: 512000 bps" in out
         assert "alpha" in out and "leaf" in out
+
+    def test_verbose_prints_the_plan_digest(self, plan_file, capsys):
+        assert main(["-v", "plan", "--plan", plan_file]) == 0
+        assert f"\ndigest: {load_plan(plan_file).layout.digest}\n" in capsys.readouterr().out
+
+    def test_frame_time_below_one_microsecond(self, tmp_path, capsys):
+        doc = {"N": 2, "J": 1, "R_bps": 10**7, "B": 1,
+               "channels": [{"id": "a", "rate_bps": 10**7}, {"id": "b", "rate_bps": 10**7}]}
+        assert main(["plan", "--plan", write_plan(tmp_path, doc)]) == 0
+        assert "frame_time: 1/10000000 s (1e-07 s)\n" in capsys.readouterr().out
 
     def test_eight_basic_channels(self, tmp_path, capsys):
         assert main(["plan", "--plan", write_plan(tmp_path, EIGHT_BASIC)]) == 0
@@ -337,6 +347,17 @@ class TestMuxDemuxCommands:
             (directory / f"{cid}.samples").write_bytes(np.zeros(cnt, dtype="<f8").tobytes())
         assert main(["mux", str(directory), "--plan", plan_file, "--out", str(tmp_path / "sig.f64")]) == 3
         assert "channel 'bravo': 24 samples do not form whole frames of 16" in capsys.readouterr().err
+
+    def test_channel_with_both_payload_files_exits_3(self, tmp_path, plan_file, capsys):
+        payloads = write_random_payloads(tmp_path, J3_PLAN, seed=49)
+        (payloads / "bravo.samples").write_bytes(np.zeros(16, dtype="<f8").tobytes())
+        sig = tmp_path / "sig.f64"
+        capsys.readouterr()
+        assert main(["mux", str(payloads), "--plan", plan_file, "--out", str(sig)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: DataError: channel 'bravo': both {payloads / 'bravo.bits'} and {payloads / 'bravo.samples'}"
+            " exist; a channel has one payload file\n")
+        assert not sig.exists()
 
     @pytest.mark.parametrize("bad_id", ["../escaped", "sub/escaped", "nul\0id"])
     def test_id_that_is_not_a_file_name_exits_2_before_any_file(self, tmp_path, capsys, bad_id):
@@ -703,6 +724,46 @@ class TestMuxDemuxCommands:
             sent = np.frombuffer((directory / f"{cid}.samples").read_bytes(), dtype="<f8")
             got = np.frombuffer((out_dir / f"{cid}.samples").read_bytes(), dtype="<f8")
             np.testing.assert_allclose(got, sent, atol=1e-10)
+
+
+# vars() of the namespace, without func, that the parser gave for each argv
+# when every command declared its own options; the handler is named apart
+PARSED = [
+    (["-v", "plan", "--plan", "p.json"], "cmd_plan", {"command": "plan", "plan": "p.json", "verbose": True}),
+    (["plan", "--plan", "p.json"], "cmd_plan", {"command": "plan", "plan": "p.json", "verbose": False}),
+    (["-v", "compositions", "3"], "cmd_compositions", {"command": "compositions", "levels": 3, "verbose": True}),
+    (["compositions", "3"], "cmd_compositions", {"command": "compositions", "levels": 3, "verbose": False}),
+    (["-v", "mux", "in", "--plan", "p.json", "--wavelet", "db4", "--format", "csv", "--out", "line"], "cmd_mux",
+     {"command": "mux", "format": "csv", "out": "line", "payload_dir": "in", "plan": "p.json", "verbose": True,
+      "wavelet": "db4"}),
+    (["mux", "in", "--plan", "p.json", "--out", "line"], "cmd_mux",
+     {"command": "mux", "format": "raw", "out": "line", "payload_dir": "in", "plan": "p.json", "verbose": False,
+      "wavelet": "haar"}),
+    (["-v", "demux", "line", "--plan", "p.json", "--wavelet", "db4", "--format", "csv", "--payload", "samples",
+      "--out", "rx"], "cmd_demux",
+     {"command": "demux", "format": "csv", "out": "rx", "payload": "samples", "plan": "p.json", "signal": "line",
+      "verbose": True, "wavelet": "db4"}),
+    (["demux", "line", "--plan", "p.json", "--out", "rx"], "cmd_demux",
+     {"command": "demux", "format": "raw", "out": "rx", "payload": "bits", "plan": "p.json", "signal": "line",
+      "verbose": False, "wavelet": "haar"}),
+    (["-v", "spectrum", "--plan", "p.json", "--wavelet", "db4", "--seed", "7", "--frames", "3", "--out", "r.csv"],
+     "cmd_spectrum", {"command": "spectrum", "frames": 3, "out": "r.csv", "plan": "p.json", "seed": 7,
+                      "verbose": True, "wavelet": "db4"}),
+    (["spectrum", "--plan", "p.json", "--out", "r.csv"], "cmd_spectrum",
+     {"command": "spectrum", "frames": 1, "out": "r.csv", "plan": "p.json", "seed": 0, "verbose": False,
+      "wavelet": "haar"}),
+    (["-v", "roundtrip", "--plan", "p.json", "--wavelet", "db4", "--seed", "9"], "cmd_roundtrip",
+     {"command": "roundtrip", "plan": "p.json", "seed": 9, "verbose": True, "wavelet": "db4"}),
+    (["roundtrip", "--plan", "p.json"], "cmd_roundtrip",
+     {"command": "roundtrip", "plan": "p.json", "seed": 0, "verbose": False, "wavelet": "haar"}),
+]
+
+
+@pytest.mark.parametrize("argv, func, expected", PARSED, ids=[" ".join(argv) for argv, _, _ in PARSED])
+def test_every_command_parses_as_before(argv, func, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func").__name__ == func
+    assert parsed == expected
 
 
 def corruptions(rng, data, cases):

@@ -533,7 +533,7 @@ class TestDemux:
         ]
         signal = mux(plan, db4, payloads)
         with pytest.raises(OffGrid, match="channel"):
-            demux(plan, haar, MuxedSignal(signal.samples))  # digest stripped
+            demux(plan, haar, signal)  # the digest covers the plan, not the wavelet
 
     def test_nan_sample_flags_off_grid(self, db4):
         plan = make_plan(64, 3, [64000] * 8)
@@ -627,7 +627,7 @@ class TestRealSamples:
             with pytest.raises(DataError, match="signal: samples must be real numbers"):
                 receive(plan, haar, line)
         with pytest.raises(DataError, match="signal: samples must be real numbers"):
-            MuxedSignal(line)
+            MuxedSignal(line, plan.layout.digest)
 
     def test_codec_and_frame_entries(self, kind, haar):
         plan = make_plan(8, 2, [64000] * 4)
@@ -896,6 +896,16 @@ class TestFrameFunctions:
     def test_demux_frames_shape_mismatch(self, db4, line):
         with pytest.raises(ShapeMismatch):
             demux_frames(make_plan(64, 3, [256000] + [64000] * 4), db4, line)
+
+    @pytest.mark.parametrize("receive, line, expects", [
+        (demux, np.zeros((8, 8)), "(64,)"),
+        (demux_frames, np.zeros((2, 64)), "(frames * 64,) with frames >= 1"),
+    ], ids=["demux", "demux_frames"])
+    def test_a_2d_line_is_refused_by_its_shape(self, db4, receive, line, expects):
+        # the sample count alone would fit: one frame of 64, or two whole frames
+        with pytest.raises(ShapeMismatch) as exc:
+            receive(make_plan(64, 3, [256000] + [64000] * 4), db4, line)
+        assert str(exc.value) == f"signal of shape {line.shape}, plan expects {expects}"
 
 
 class TestReusedMemory:

@@ -29,6 +29,7 @@ from wavemux import (
     frame_time,
     plan_from_dict,
     plan_to_dict,
+    samples_per_frame,
     tree_depth,
     tributary_rates,
     validate_plan,
@@ -156,6 +157,17 @@ class TestNumerology:
         assert tributary_rates(3, 64000) == [64000, 128000, 256000]
         assert tributary_rates(1, 48000) == [48000]
         assert tributary_rates(5, 64000) == [64000, 128000, 256000, 512000, 1024000]
+
+    @pytest.mark.parametrize("levels, basic_rate", [(0, 64000), (3, 0), (3, -64000)])
+    def test_tributary_rates_refuses_no_scales_or_a_rate_that_is_not_positive(self, levels, basic_rate):
+        with pytest.raises(ValueError, match="levels must be >= 1 and basic_rate positive"):
+            tributary_rates(levels, basic_rate)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6])
+    def test_samples_per_frame_is_each_channels_width_in_the_layout(self, j):
+        for comp in enumerate_compositions(j):
+            plan = expand_composition(comp, 1 << (j + 2))
+            assert [samples_per_frame(plan, ch) for ch in plan.channels] == [hi - lo for lo, hi in plan.layout.bounds]
 
 
 class TestValidatePlan:

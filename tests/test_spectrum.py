@@ -85,6 +85,19 @@ class TestDftMagnitude:
         x = rng.standard_normal(16)
         np.testing.assert_allclose(dft_magnitude(x), naive_dft_magnitude(x), atol=1e-9)
 
+    @pytest.mark.parametrize("x", [np.zeros(0), np.zeros((2, 4))], ids=["empty", "2-D"])
+    def test_empty_or_2d_signal_refused(self, x):
+        with pytest.raises(ValueError, match="dft_magnitude expects a nonempty 1-D array"):
+            dft_magnitude(x)
+
+
+class TestSpectrumReport:
+    @pytest.mark.parametrize("mag_tdm, mag_mrdm", [(np.zeros(8), np.zeros(4)), (np.zeros((2, 4)), np.zeros((2, 4)))],
+                             ids=["lengths differ", "2-D"])
+    def test_spectra_of_different_lengths_or_not_1d_refused(self, mag_tdm, mag_mrdm):
+        with pytest.raises(ValueError, match="both spectra must be 1-D arrays of identical length"):
+            SpectrumReport(mag_tdm, mag_mrdm, 0.0, 0.0)
+
 
 class TestRealSignals:
     @pytest.mark.filterwarnings("error")
