@@ -12,7 +12,11 @@ depend on the chosen wavelet.
 
 Reports use bin indices k = 0..N-1 with the unnormalized transform
 X[k] = sum_n x[n] exp(-2 pi i k n / N), so Parseval reads
-sum_k |X[k]|^2 / N = sum_n x[n]^2.
+sum_k |X[k]|^2 / N = sum_n x[n]^2. Both signals are real, so the
+spectrum is Hermitian, |X[N-k]| = |X[k]| (Sorensen, Jones, Heideman &
+Burrus 1987): :func:`dft_magnitude` takes the real-input FFT of bins
+0..N/2 and mirrors it, and :func:`write_report_csv` formats those bins
+once.
 """
 
 from __future__ import annotations
@@ -76,11 +80,17 @@ class SpectrumReport:
 
 
 def dft_magnitude(x: np.ndarray) -> np.ndarray:
-    """|X[k]| for k = 0..N-1 of the unnormalized DFT of a real signal (DataError otherwise)."""
+    """|X[k]| for k = 0..N-1 of the unnormalized DFT of a real signal (DataError otherwise).
+
+    The spectrum of a real signal is Hermitian, |X[N-k]| = |X[k]|, so the
+    real-input FFT (``np.fft.rfft``) computes bins 0..N/2 and bin N-k is a
+    copy of bin k: the result is mirror-symmetric bit for bit.
+    """
     x = _real(x, "signal")
     if x.ndim != 1 or x.size < 1:
         raise ValueError("dft_magnitude expects a nonempty 1-D array")
-    return np.abs(np.fft.fft(x))
+    half = np.abs(np.fft.rfft(x))
+    return np.concatenate((half, half[(x.size - 1) // 2 : 0 : -1]))
 
 
 def compare_spectra(plan: RatePlan, system: FilterPair, payloads) -> SpectrumReport:
@@ -101,8 +111,45 @@ def random_payloads(plan: RatePlan, seed: int) -> list[TributaryPayload]:
 
 
 def write_report_csv(report: SpectrumReport, fh: IO[str], *, seed: int, levels: int, wavelet: str) -> None:
-    """Emit the report as CSV with the generation context in the header."""
-    fh.write(f"# seed={seed} N={report.length} J={levels} wavelet={wavelet}\n")
+    """Emit the report as CSV with the generation context in the header.
+
+    Row k is ``k,|X_tdm[k]|,|X_mrdm[k]|``: k as an integer, the magnitudes
+    with ``%.17g`` (:func:`~wavemux.wavelets.decimal_rows`). When both
+    columns are mirror-symmetric bit for bit, as :func:`dft_magnitude`
+    makes them, only rows 0..N/2 are formatted, and row k > N/2 repeats
+    the text of row N-k; otherwise every row is formatted. Either way the
+    bytes are those of one ``f"{k},{a:.17g},{b:.17g}\n"`` per row.
+    """
+    n = report.length
+    mags = (report.mag_tdm, report.mag_mrdm)
+    distinct = n // 2 + 1 if all(map(_mirrored, mags)) else n
+    top = n - distinct  # rows 1..top are repeated, in reverse, as rows distinct..n-1
+    fh.write(f"# seed={seed} N={n} J={levels} wavelet={wavelet}\n")
     fh.write("k,mag_tdm,mag_mrdm\n")
-    # k goes through the same %.17g rule as the magnitudes: below 2^53 it is exact, digit for digit
-    fh.writelines(decimal_rows((range(report.length), report.mag_tdm, report.mag_mrdm)))
+    kept = []  # (first row, text) of each block that holds rows of 1..top, in order
+    start = 0
+    for text in decimal_rows([m[:distinct] for m in mags]):
+        pairs = text.splitlines(True)
+        fh.write(_numbered(start, pairs))
+        if max(start, 1) <= top:
+            kept.append((start, text))
+        start += len(pairs)
+    for start, text in reversed(kept):
+        # rows first..first+r-1 of the block are written as rows n-first-r+1..n-first, in reverse
+        first = max(start, 1)
+        pairs = text.splitlines(True)[first - start : top + 1 - start]
+        fh.write(_numbered(n - first - len(pairs) + 1, pairs[::-1]))
+
+
+def _mirrored(mags: np.ndarray) -> bool:
+    """Whether mags[N-k] has the bits of mags[k] for every k = 1..N-1."""
+    bits = mags.view(np.uint64)
+    return bool(np.array_equal(bits[1:], bits[:0:-1]))
+
+
+def _numbered(first: int, texts: list[str]) -> str:
+    """Each of ``texts`` led by its row number, counting from ``first``, and a comma."""
+    fields: list = [None] * (2 * len(texts))
+    fields[::2] = range(first, first + len(texts))
+    fields[1::2] = texts
+    return ("%d,%s" * len(texts)) % tuple(fields)

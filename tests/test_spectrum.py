@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ def make_plan(n, j, rates, r=64000, b=8):
 
 def equal_rate_plan(n, j, b=8):
     return make_plan(n, j, [64000] * (1 << j), b=b)
+
+
+PLAN_4096 = equal_rate_plan(4096, 3)
 
 
 class TestTdmReference:
@@ -84,6 +88,18 @@ class TestDftMagnitude:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(16)
         np.testing.assert_allclose(dft_magnitude(x), naive_dft_magnitude(x), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 4095, 4096])
+    def test_bitwise_mirror_symmetric(self, n):
+        # bin N-k is a copy of bin k, so rows k and N-k of a report carry the same text
+        x = np.random.default_rng(n).standard_normal(n)
+        mags = dft_magnitude(x)
+        assert mags.shape == (n,)
+        np.testing.assert_array_equal(mags[1:].view(np.uint64), mags[1:][::-1].view(np.uint64))
+        if n <= 64:
+            np.testing.assert_allclose(mags, naive_dft_magnitude(x), atol=1e-9)
+        else:
+            np.testing.assert_allclose(mags, np.abs(np.fft.fft(x)), rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("x", [np.zeros(0), np.zeros((2, 4))], ids=["empty", "2-D"])
     def test_empty_or_2d_signal_refused(self, x):
@@ -172,13 +188,26 @@ class TestDeterminism:
         assert columns == "k,mag_tdm,mag_mrdm"
         assert len(blobs[0].splitlines()) == 2 + 64
 
-    def test_csv_bytes_equal_per_row_writer(self):
-        # the block writer must keep the bytes of one f-string per row, over several blocks
-        plan = equal_rate_plan(4096, 3)
-        report = compare_spectra(plan, make_wavelet_system("db4"), random_payloads(plan, 3))
+    @pytest.mark.parametrize("report", [
+        pytest.param(lambda: compare_spectra(PLAN_4096, make_wavelet_system("db4"), random_payloads(PLAN_4096, 3)),
+                     id="even N"),
+        pytest.param(lambda: SpectrumReport.from_signals(*np.random.default_rng(5).standard_normal((2, 3001))),
+                     id="odd N"),
+        pytest.param(lambda: SpectrumReport(*np.random.default_rng(6).random((2, 2500)), 0.0, 0.0), id="asymmetric"),
+        pytest.param(lambda: SpectrumReport(np.array([np.nan, np.inf, -np.inf, 2.0, -np.inf, np.inf]),
+                                            np.array([0.5, np.nan, -np.inf, 1.0, -np.inf, np.nan]), 0.0, 0.0),
+                     id="nan and inf"),
+        pytest.param(lambda: SpectrumReport(np.zeros(0), np.zeros(0), 0.0, 0.0), id="empty"),
+        pytest.param(lambda: SpectrumReport.from_signals(np.array([0.25]), np.array([-0.5])), id="one row"),
+    ])
+    def test_csv_bytes_equal_per_row_writer(self, report):
+        # formatting rows 0..N/2 once and repeating them must keep the bytes of one f-string per row
+        report = report()
         buf = io.StringIO()
-        write_report_csv(report, buf, seed=3, levels=plan.levels, wavelet="db4")
-        expected = "# seed=3 N=4096 J=3 wavelet=db4\nk,mag_tdm,mag_mrdm\n" + "".join(
+        write_report_csv(report, buf, seed=3, levels=3, wavelet="db4")
+        expected = f"# seed=3 N={report.length} J=3 wavelet=db4\nk,mag_tdm,mag_mrdm\n" + "".join(
             f"{k},{tdm:.17g},{mrdm:.17g}\n" for k, tdm, mrdm in report.rows()
         )
-        assert buf.getvalue() == expected
+        # the first differing line, not a diff of the whole text, which takes pytest minutes at this size
+        lines = zip_longest(buf.getvalue().splitlines(), expected.splitlines())
+        assert next(((i, got, want) for i, (got, want) in enumerate(lines) if got != want), None) is None
